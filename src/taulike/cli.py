@@ -61,7 +61,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for generated inputs (default 0)")
-    p.add_argument("--jobs", type=int, default=1, help="worker budget; this build runs sequentially")
     p.add_argument("--out", metavar="FILE", help="also write the result JSON to this file")
 
 
@@ -374,8 +373,6 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be at least 1")
     try:
         payload = _DISPATCH[args.command](args, parser)
     except TaulikeError as exc:

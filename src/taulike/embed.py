@@ -5,14 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ClassifierInconsistent, FormatError, NotStabilized, OracleMissing
+from .errors import ClassifierInconsistent, NotStabilized, OracleMissing
 from .kinds import FinSide, Kind
-from .linearize import (
-    omega_linearize,
-    omega_star_linearize,
-    split_linearize,
-    zeta_linearize,
-)
+from .linearize import linearize
 from .poset import CanonicalPoint, LinearOrder
 from .streams import StreamPoset
 
@@ -122,6 +117,14 @@ def embed_zeta(order: LinearOrder) -> Embedding:
     return Embedding(Kind.ZETA, pts)
 
 
+_READERS = {
+    Kind.OMEGA: embed_omega,
+    Kind.OMEGA_STAR: embed_omega_star,
+    Kind.OMEGA_PLUS_OMEGA_STAR: embed_omega_plus_omega_star,
+    Kind.ZETA: embed_zeta,
+}
+
+
 def embed_poset(
     stream: StreamPoset,
     kind: Kind,
@@ -130,18 +133,5 @@ def embed_poset(
     elements: int | None = None,
 ) -> Embedding:
     """Linearize a prefix of ``stream`` and read coordinates off the result."""
-    if kind is Kind.OMEGA:
-        _, order = omega_linearize(stream, blocks, elements_wanted=elements)
-        return embed_omega(order)
-    if kind is Kind.OMEGA_STAR:
-        _, order = omega_star_linearize(stream, blocks, elements_wanted=elements)
-        return embed_omega_star(order)
-    if kind is Kind.ZETA:
-        _, order = zeta_linearize(stream, blocks, elements_wanted=elements)
-        return embed_zeta(order)
-    if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
-        if elements is None:
-            raise FormatError("the split embedding takes an elements budget")
-        order = split_linearize(stream, elements)
-        return embed_omega_plus_omega_star(order)
-    raise FormatError(f"unknown kind {kind!r}")
+    _, order = linearize(stream, kind, blocks=blocks, elements=elements)
+    return _READERS[kind](order)

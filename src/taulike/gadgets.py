@@ -73,6 +73,7 @@ class FunctionSpec:
             )
         if self.gap < 0:
             raise FormatError(f"tail gap must be a natural, got {self.gap}")
+        object.__setattr__(self, "_witness", _witness_table(head))
 
     @property
     def window(self) -> int:
@@ -93,17 +94,17 @@ class FunctionSpec:
         return m >= len(self.head) + self.gap
 
     def witness_after(self, n: int) -> int | None:
-        """Least k > n with f(k) < f(n), or None if no later value drops."""
-        v = self.value(n)
-        for k in range(n + 1, len(self.head)):
-            if self.head[k] < v:
-                return k
-        return None
+        """Least k > n with f(k) < f(n), or None if no later value drops.
+
+        Tail values rise and exceed every head value, so only head stages
+        are ever undercut, and only by head stages.
+        """
+        if n < 0:
+            raise UnknownIdError(f"stages are non-negative, got {n}")
+        return self._witness[n] if n < len(self._witness) else None
 
     def false_stages(self) -> frozenset[int]:
-        return frozenset(
-            n for n in range(len(self.head)) if self.witness_after(n) is not None
-        )
+        return frozenset(n for n, t in enumerate(self._witness) if t is not None)
 
     def describe(self) -> str:
         base = "identity" if not self.head else "perm:" + ",".join(str(v) for v in self.head)
@@ -445,7 +446,7 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
         # f(n) <= m forces n < max(window, m + 1): past the head f(n) = n.
         for n in range(max(window, m + 1)):
             if fspec.value(n) <= m:
-                out.extend(_fan_id(n, j) for j in range(n + 1))
+                out.extend(range(_fan_id(n, 0), _fan_id(n, n) + 1, 2))
         return out
 
     def successors(x: int) -> list[int] | None:

@@ -12,10 +12,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import TooLarge, UnknownIdError
-from .kinds import Kind
+from .errors import FormatError, TooLarge, UnknownIdError
+from .kinds import FinSide, Kind
 from .poset import FinitePoset, build_poset
-from .streams import StreamPoset, take
+from .streams import OracleBundle, StreamPoset, check_listing, read_side, take
 
 __all__ = [
     "ExtensionSet",
@@ -143,8 +143,11 @@ def check_tau_like(
     """Report per-element witnessed counts for the finiteness promise of ``kind``.
 
     A finite poset satisfies every kind vacuously, so the report carries the
-    witnessed statistics; for a stream, the declared oracles are exercised on
-    a prefix and their answers folded into the counts.
+    witnessed statistics.  For a stream, each prefix element asks the oracle
+    its kind relies on (predecessors for omega, successors for omega-star,
+    the side-chosen cone for omega-omega-star, ``interval(ids[0], x)`` for
+    zeta); every answer must be defined and pass :func:`check_listing`
+    against the prefix relation, and its size goes into the counts.
     """
     if isinstance(target, FinitePoset):
         # counts are strict: the element itself never witnesses its own bound
@@ -167,49 +170,50 @@ def check_tau_like(
         return TauReport(kind=kind, ok=True, scope="finite", counts=counts, max_interval=max_interval)
 
     ids = take(target, prefix_size)
-    bundle = target.oracles
+    if not ids:
+        return TauReport(kind=kind, ok=True, scope="prefix", counts={}, notes=[])
+    bundle = target.oracles or OracleBundle()
+    leq = target.leq
+    m = target.relation_matrix(ids)
+    id_set = set(ids)
+    first = ids[0]
     counts = {}
     notes: list[str] = []
-    ok = True
-    for x in ids:
-        if kind is Kind.OMEGA:
-            fn = bundle.predecessors if bundle else None
-        elif kind is Kind.OMEGA_STAR:
-            fn = bundle.successors if bundle else None
-        elif kind is Kind.ZETA:
-            fn = None
+    for i, x in enumerate(ids):
+        if kind is Kind.ZETA:
+            name, fn, args, exempt = "interval", bundle.interval, (first, x), set()
+            truth_row = (m[0, :] & m[:, i]) | (m[i, :] & m[:, 0])
+            compare = lambda z, x=x: (leq(first, z) and leq(z, x)) or (leq(x, z) and leq(z, first))
         else:
-            fn = None
-        if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
-            tag = bundle.side(x) if bundle and bundle.side else None
-            if tag is None:
-                ok = False
-                notes.append(f"element {x} has no side answer")
-                continue
-            which = bundle.predecessors if tag.value == "FIN_PRED" else bundle.successors
-            ans = which(x) if which else None
-        elif kind is Kind.ZETA:
-            ans = bundle.interval(ids[0], x) if bundle and bundle.interval else None
-        else:
-            ans = fn(x) if fn else None
+            if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
+                try:
+                    tag = read_side(bundle.side(x), x) if bundle.side else None
+                except FormatError as exc:
+                    notes.append(str(exc))
+                    continue
+                if tag is None:
+                    notes.append(f"element {x} has no side answer")
+                    continue
+                below = tag is FinSide.FIN_PRED
+            else:
+                below = kind is Kind.OMEGA
+            name = "predecessors" if below else "successors"
+            fn, args, exempt = getattr(bundle, name), (x,), {x}
+            truth_row = m[:, i] if below else m[i, :]
+            compare = (lambda y, x=x: leq(y, x)) if below else (lambda y, x=x: leq(x, y))
+        ans = fn(*args) if fn else None
         if ans is None:
-            ok = False
             notes.append(f"element {x} has no finite answer for {kind.value}")
             continue
+        ans = list(ans)
         counts[x] = len(set(ans) - {x})
-        for y in ans:
-            good = (
-                target.leq(y, x)
-                if kind is Kind.OMEGA
-                else target.leq(x, y)
-                if kind is Kind.OMEGA_STAR
-                else True
-            )
-            if not good:
-                ok = False
-                notes.append(f"oracle listed {y} for {x} unsoundly")
-                break
-    return TauReport(kind=kind, ok=ok, scope="prefix", counts=counts, notes=notes)
+        truth = {ids[j] for j in np.nonzero(truth_row)[0]}
+        found = check_listing(name, x, ans, truth, compare, id_set, exempt)
+        if found:
+            v = found[0]
+            more = f" and {len(found) - 1} more" if len(found) > 1 else ""
+            notes.append(f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}")
+    return TauReport(kind=kind, ok=not notes, scope="prefix", counts=counts, notes=notes)
 
 
 def random_poset(n: int, density: float, seed: int, max_size: int = MAX_RANDOM) -> FinitePoset:

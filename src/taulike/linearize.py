@@ -23,7 +23,7 @@ from .errors import (
 )
 from .kinds import BlockSide, FinSide, Kind
 from .poset import FinitePoset, LinearOrder
-from .streams import StreamPoset, oracle_answer, require_oracle
+from .streams import StreamPoset, oracle_answer, read_side, require_oracle
 
 __all__ = [
     "Block",
@@ -296,9 +296,6 @@ def _substream(stream: StreamPoset, ids: Sequence[int], label: str) -> StreamPos
     )
 
 
-_CROSS_CHECK_CAP = 400_000  # pairwise consistency checks without a bulk hook
-
-
 def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     """Linearize a stream whose elements each promise one finite cone.
 
@@ -317,13 +314,9 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     lower: list[int] = []
     upper: list[int] = []
     for x in horizon:
-        raw = side_fn(x)
-        if raw is None:
+        tag = read_side(side_fn(x), x)
+        if tag is None:
             raise OracleMissing(f"side oracle gave no class for element {x}")
-        try:
-            tag = FinSide(raw)
-        except ValueError as exc:
-            raise FormatError(f"side oracle answered {raw!r} for element {x}") from exc
         if tag is FinSide.FIN_PRED:
             lower.append(x)
         else:
@@ -338,26 +331,17 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
         raise ClassifierInconsistent(
             f"elements {sorted(clash)[:4]} were emitted on both sides"
         )
-    # Best-effort downward-closure check: nothing classified FIN_SUCC may sit
-    # below anything classified FIN_PRED.
+    # Downward-closure check: nothing classified FIN_SUCC may sit below
+    # anything classified FIN_PRED.  Without a bulk hook the matrix falls
+    # back to pairwise leq, so every pair is checked either way.
     if emitted_low and emitted_high:
-        if stream._leq_block is not None:
-            m = stream.relation_matrix(emitted_low + emitted_high)
-            n0 = len(emitted_low)
-            cross = m[n0:, :n0]
-            if cross.any():
-                i, j = np.argwhere(cross)[0]
-                raise ClassifierInconsistent(
-                    f"FIN_SUCC element {emitted_high[i]} lies below FIN_PRED element {emitted_low[j]}"
-                )
-        else:
-            budget = _CROSS_CHECK_CAP // max(len(emitted_low), 1)
-            for u in emitted_high[:budget]:
-                for v in emitted_low:
-                    if stream.leq(u, v):
-                        raise ClassifierInconsistent(
-                            f"FIN_SUCC element {u} lies below FIN_PRED element {v}"
-                        )
+        n0 = len(emitted_low)
+        cross = stream.relation_matrix(emitted_low + emitted_high)[n0:, :n0]
+        if cross.any():
+            i, j = np.argwhere(cross)[0]
+            raise ClassifierInconsistent(
+                f"FIN_SUCC element {emitted_high[i]} lies below FIN_PRED element {emitted_low[j]}"
+            )
     sides: dict[int, FinSide] = {x: FinSide.FIN_PRED for x in emitted_low}
     sides.update({x: FinSide.FIN_SUCC for x in emitted_high})
     return LinearOrder(

@@ -28,6 +28,8 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_oracles",
+    "check_listing",
+    "read_side",
     "omega_stream",
     "omega_star_stream",
     "zeta_stream",
@@ -239,6 +241,59 @@ def _sample_indices(n: int, cap: int, seed: int) -> list[int]:
     return sorted(picked)
 
 
+def read_side(raw, x: int) -> FinSide | None:
+    """Normalise a side oracle's answer for ``x``; ``None`` stays undefined.
+
+    Raises :class:`FormatError` for anything that names neither cone.
+    """
+    if raw is None:
+        return None
+    try:
+        return FinSide(raw)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"side oracle answered {raw!r} for element {x}") from exc
+
+
+def check_listing(
+    oracle: str,
+    x: int,
+    ans: list[int],
+    truth: set[int],
+    compare: Callable[[int], bool],
+    id_set: set[int],
+    exempt: set[int] = frozenset(),
+) -> list[Violation]:
+    """Check one oracle answer about ``x`` against the prefix relation.
+
+    ``truth`` holds the prefix ids the answer must list and ``id_set`` the
+    whole prefix; listed ids outside the prefix are decided by ``compare``.
+    The answer must list nothing twice, list only elements that pass the
+    comparison, and miss no element of ``truth``.  ``exempt`` ids need not be
+    listed: cone answers may skip the element itself (self-comparability
+    carries no information).  At most ``_MAX_RECORDED`` violations return.
+    """
+    listed = set(ans)
+    if len(listed) != len(ans):
+        seen: set[int] = set()
+        for y in ans:
+            if y in seen:
+                return [Violation("UNSOUND", oracle, (x, y), "answer lists an element twice")]
+            seen.add(y)
+    found: list[Violation] = []
+    to_verify = ans if len(ans) <= _ANSWER_SOUND_CAP else ans[:: max(1, len(ans) // _ANSWER_SOUND_CAP)]
+    for y in to_verify:
+        sound = y in truth if y in id_set else compare(y)
+        if not sound:
+            found.append(Violation("UNSOUND", oracle, (x, y), "listed element fails the comparison"))
+            if len(found) >= _MAX_RECORDED:
+                return found
+    for y in truth - listed - set(exempt):
+        found.append(Violation("INCOMPLETE", oracle, (x, y), "in-prefix element is missing"))
+        if len(found) >= _MAX_RECORDED:
+            return found
+    return found
+
+
 def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
     """Check every provided oracle against ``leq`` over the first ``s`` elements.
 
@@ -254,7 +309,6 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         report.not_present = ["predecessors", "successors", "interval", "side"]
         return report
 
-    pos = {x: i for i, x in enumerate(ids)}
     m = stream.relation_matrix(ids)
 
     # The bulk hook is an optimization, not an authority: spot-check it.
@@ -309,75 +363,25 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
     id_set = set(ids)
     picked = _sample_indices(n, _FULL_CHECK_ELEMENTS, seed=s * 31 + 7)
 
-    def check_listing(
-        name: str, x: int, ans: list[int], truth: set[int], compare, exempt: set[int] = frozenset()
-    ) -> None:
-        # ``exempt`` ids need not be listed: cone answers may skip the element
-        # itself (self-comparability carries no information).
-        recorded = 0
-        seen: set[int] = set()
-        for y in ans:
-            if y in seen:
-                report.violations.append(
-                    Violation("UNSOUND", name, (x, y), "answer lists an element twice")
-                )
-                return
-            seen.add(y)
-        listed = seen
-        to_verify = ans if len(ans) <= _ANSWER_SOUND_CAP else ans[:: max(1, len(ans) // _ANSWER_SOUND_CAP)]
-        for y in to_verify:
-            if y in id_set:
-                sound = y in truth
-            else:
-                sound = compare(y)
-            if not sound:
-                report.violations.append(
-                    Violation("UNSOUND", name, (x, y), "listed element fails the comparison")
-                )
-                recorded += 1
-                if recorded >= _MAX_RECORDED:
-                    return
-        for y in truth - listed - set(exempt):
-            report.violations.append(
-                Violation("INCOMPLETE", name, (x, y), "in-prefix element is missing")
-            )
-            recorded += 1
-            if recorded >= _MAX_RECORDED:
-                return
-
-    if bundle.predecessors is not None:
+    # Predecessors read a column of the relation, successors a row.
+    for name, rel, below in (("predecessors", m.T, True), ("successors", m, False)):
+        fn = getattr(bundle, name)
+        if fn is None:
+            continue
         count = 0
         und = 0
         for i in picked:
             x = ids[i]
-            ans = bundle.predecessors(x)
+            ans = fn(x)
             if ans is None:
                 und += 1
                 continue
-            truth = {ids[j] for j in np.nonzero(m[:, i])[0]}
-            check_listing(
-                "predecessors", x, list(ans), truth, lambda y, x=x: stream.leq(y, x), exempt={x}
-            )
+            truth = {ids[j] for j in np.nonzero(rel[i])[0]}
+            compare = (lambda y, x=x: stream.leq(y, x)) if below else (lambda y, x=x: stream.leq(x, y))
+            report.violations += check_listing(name, x, list(ans), truth, compare, id_set, exempt={x})
             count += 1
-        report.checked["predecessors"] = count
-        report.undefined["predecessors"] = und
-
-    if bundle.successors is not None:
-        count = 0
-        und = 0
-        for i in picked:
-            x = ids[i]
-            ans = bundle.successors(x)
-            if ans is None:
-                und += 1
-                continue
-            truth = {ids[j] for j in np.nonzero(m[i, :])[0]}
-            check_listing(
-                "successors", x, list(ans), truth, lambda y, x=x: stream.leq(x, y), exempt={x}
-            )
-            count += 1
-        report.checked["successors"] = count
-        report.undefined["successors"] = und
+        report.checked[name] = count
+        report.undefined[name] = und
 
     if bundle.interval is not None:
         if n <= _FULL_CHECK_INTERVAL:
@@ -398,13 +402,14 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
                 continue
             between = (m[i, :] & m[:, j]) | (m[j, :] & m[:, i])
             truth = {ids[k] for k in np.nonzero(between)[0]}
-            check_listing(
+            report.violations += check_listing(
                 "interval",
                 x,
                 list(ans),
                 truth,
                 lambda z, x=x, y=y: (stream.leq(x, z) and stream.leq(z, y))
                 or (stream.leq(y, z) and stream.leq(z, x)),
+                id_set,
             )
             count += 1
             if len(report.violations) >= 4 * _MAX_RECORDED:
@@ -417,35 +422,25 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         und = 0
         for i in picked:
             x = ids[i]
-            tag = bundle.side(x)
+            try:
+                tag = read_side(bundle.side(x), x)
+            except FormatError as exc:
+                report.violations.append(Violation("INVALID", "side", (x,), str(exc)))
+                continue
             if tag is None:
                 und += 1
                 continue
-            if tag not in (FinSide.FIN_PRED, FinSide.FIN_SUCC):
+            cone = "predecessors" if tag is FinSide.FIN_PRED else "successors"
+            cone_fn = getattr(bundle, cone)
+            if cone_fn is not None and cone_fn(x) is None:
                 report.violations.append(
-                    Violation("INVALID", "side", (x,), f"side answered {tag!r}")
+                    Violation(
+                        "SIDE_INCONSISTENT",
+                        "side",
+                        (x,),
+                        f"side says {tag.value} but {cone} gives no finite answer",
+                    )
                 )
-                continue
-            if tag is FinSide.FIN_PRED and bundle.predecessors is not None:
-                if bundle.predecessors(x) is None:
-                    report.violations.append(
-                        Violation(
-                            "SIDE_INCONSISTENT",
-                            "side",
-                            (x,),
-                            "side says FIN_PRED but predecessors gives no finite answer",
-                        )
-                    )
-            if tag is FinSide.FIN_SUCC and bundle.successors is not None:
-                if bundle.successors(x) is None:
-                    report.violations.append(
-                        Violation(
-                            "SIDE_INCONSISTENT",
-                            "side",
-                            (x,),
-                            "side says FIN_SUCC but successors gives no finite answer",
-                        )
-                    )
             count += 1
         report.checked["side"] = count
         report.undefined["side"] = und

@@ -204,7 +204,6 @@ def test_usage_errors_exit_two():
     run_cli("gadget", "fuf", expect=2)  # --sets required
     run_cli("gadget", "fuf", "--sets", "1;x", expect=2)
     run_cli("decode", "false-stages", expect=2)  # --f required
-    run_cli("linearize", "--kind", "omega", "--family", "omega", "--jobs", "0", expect=2)
 
 
 def test_input_and_family_conflict(tmp_path):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import brute
 from taulike import (
     Kind,
+    TaulikeError,
     TooLarge,
     all_linear_extensions,
     antichain_poset,
@@ -20,7 +24,13 @@ from taulike import (
     random_poset,
     szpilrajn_extend,
 )
-from taulike.streams import OracleBundle, StreamPoset, omega_stream
+from taulike.streams import (
+    OracleBundle,
+    StreamPoset,
+    omega_plus_omega_star_stream,
+    omega_stream,
+    stream_from_finite,
+)
 
 
 # -- exhaustive extension enumeration ----------------------------------------
@@ -138,6 +148,93 @@ def test_report_missing_oracle_not_ok():
     s = StreamPoset(lambda st: st, lambda x, y: x <= y, name="bare")
     report = check_tau_like(s, Kind.OMEGA, prefix_size=5)
     assert not report.ok
+
+
+# -- lying bundles -----------------------------------------------------------------
+
+
+def _lying_naturals_interval() -> StreamPoset:
+    # F1: interval(x, y) = [x, y] lists x twice when x == y and skips the middle
+    return StreamPoset(
+        lambda st: st,
+        lambda x, y: x <= y,
+        oracles=OracleBundle(interval=lambda x, y: [x, y]),
+        name="F1",
+    )
+
+
+def _lying_two_chains(**lies) -> StreamPoset:
+    base = omega_plus_omega_star_stream()
+    return StreamPoset(
+        lambda st: st,
+        base.leq,
+        oracles=replace(base.oracles, **lies),
+        name="lying-two-chains",
+        leq_block=base.relation_matrix,
+    )
+
+
+def _flagged(make_report) -> bool:
+    try:
+        return not make_report().ok
+    except TaulikeError:
+        return True
+
+
+@pytest.mark.parametrize(
+    "make_stream, kind",
+    [
+        (_lying_naturals_interval, Kind.ZETA),  # F1
+        (lambda: _lying_two_chains(predecessors=lambda x: [x]), Kind.OMEGA_PLUS_OMEGA_STAR),  # F2
+        (lambda: _lying_two_chains(side=lambda x: "FIN_PRED"), Kind.OMEGA_PLUS_OMEGA_STAR),  # F3
+        (lambda: _lying_two_chains(side=lambda x: "sideways"), Kind.OMEGA_PLUS_OMEGA_STAR),
+    ],
+    ids=["F1-interval", "F2-predecessors", "F3-string-side", "garbage-side"],
+)
+@pytest.mark.parametrize("size", [10, 150])
+def test_report_flags_lying_bundles(make_stream, kind, size):
+    assert _flagged(lambda: check_tau_like(make_stream(), kind, prefix_size=size))
+
+
+def test_report_notes_name_the_garbage_side_answer():
+    report = check_tau_like(
+        _lying_two_chains(side=lambda x: "sideways"), Kind.OMEGA_PLUS_OMEGA_STAR, prefix_size=3
+    )
+    assert not report.ok and "'sideways'" in report.notes[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from([Kind.OMEGA, Kind.OMEGA_STAR, Kind.ZETA]),
+    data=st.data(),
+)
+def test_report_flags_one_dropped_element(n, density, seed, kind, data):
+    poset = random_poset(n, density, seed=seed)
+    stream = stream_from_finite(poset)
+    universe, le = poset.elements, poset.le
+    first = stream.element_at(0)
+    if kind is Kind.OMEGA:
+        name, honest = "predecessors", lambda x: brute.predecessors(universe, le, x)
+    elif kind is Kind.OMEGA_STAR:
+        name, honest = "successors", lambda x: brute.successors(universe, le, x)
+    else:
+        name, honest = "interval", lambda x: brute.interval(universe, le, first, x)
+    assert check_tau_like(stream, kind, prefix_size=n).ok
+    # A cone answer may leave out the element itself; anything else is owed.
+    dropped = [(x, y) for x in universe for y in honest(x) if kind is Kind.ZETA or y != x]
+    assume(dropped)
+    x0, y0 = data.draw(st.sampled_from(dropped))
+
+    def lying(*args):
+        return [y for y in honest(args[-1]) if (args[-1], y) != (x0, y0)]
+
+    stream.oracles = replace(stream.oracles, **{name: lying})
+    report = check_tau_like(stream, kind, prefix_size=n)
+    assert not report.ok
+    assert any(f"answer for {x0}" in note for note in report.notes)
 
 
 def test_report_json_shape():

@@ -28,6 +28,8 @@ from taulike import (
 )
 from taulike.kinds import BlockSide, FinSide
 from taulike.streams import (
+    OracleBundle,
+    StreamPoset,
     antichain_stream,
     omega_plus_omega_star_stream,
     omega_star_stream,
@@ -340,6 +342,29 @@ def test_split_rejects_inconsistent_sides():
     )
     with pytest.raises(ClassifierInconsistent):
         split_linearize(s, 2)
+
+
+def test_split_cross_check_is_complete_without_bulk_hook():
+    # An antichain except for one pair u <= v with u FIN_SUCC and v FIN_PRED;
+    # the cone oracles hide it, so only the cross-check can see it.  The dual
+    # run emits FIN_SUCC elements in reverse, which puts u last, past the
+    # first 400_000 // len(low) of them that a pairwise cap would reach.
+    low, high = 633, 640
+    u, v = low, 0
+    s = StreamPoset(
+        lambda st: st,
+        lambda x, y: x == y or (x, y) == (u, v),
+        oracles=OracleBundle(
+            predecessors=lambda x: [x],
+            successors=lambda x: [x],
+            side=lambda x: FinSide.FIN_PRED if x < low else FinSide.FIN_SUCC,
+        ),
+        size=low + high,
+        name="hidden-pair",
+    )
+    assert s._leq_block is None and high - 1 >= 400_000 // low
+    with pytest.raises(ClassifierInconsistent, match=f"FIN_SUCC element {u} lies below"):
+        split_linearize(s, low + high)
 
 
 def test_split_rejects_junk_side_answers():

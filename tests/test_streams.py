@@ -16,10 +16,12 @@ from taulike.streams import (
     OracleBundle,
     StreamPoset,
     antichain_stream,
+    check_listing,
     omega_plus_omega_star_stream,
     omega_star_stream,
     omega_stream,
     prefix,
+    read_side,
     stream_from_finite,
     take,
     zeta_stream,
@@ -272,3 +274,46 @@ def test_validator_empty_prefix_trivially_ok():
     s = stream_from_finite(build_poset([], []))
     report = validate_oracles(s, 5)
     assert report.ok and report.prefix_size == 0
+
+
+def _two_chains_with_side(side) -> StreamPoset:
+    base = omega_plus_omega_star_stream()
+    h = base.oracles
+    bundle = OracleBundle(h.predecessors, h.successors, h.interval, side)
+    return StreamPoset(lambda s: s, base.leq, oracles=bundle, name="two-chains", leq_block=base.relation_matrix)
+
+
+def test_validator_reads_string_side_answers_as_sides():
+    # F4: "FIN_PRED" for every element; odd ids have no finite lower cone
+    report = validate_oracles(_two_chains_with_side(lambda x: "FIN_PRED"), 20)
+    hits = [v for v in report.violations if v.oracle == "side"]
+    assert hits and all(v.kind == "SIDE_INCONSISTENT" and v.subject[0] % 2 == 1 for v in hits)
+
+
+def test_validator_flags_garbage_side_answers():
+    report = validate_oracles(_two_chains_with_side(lambda x: "sideways"), 10)
+    assert not report.ok
+    assert all(v.kind == "INVALID" and "'sideways'" in v.detail for v in report.violations)
+    assert report.checked["side"] == 0
+
+
+def test_read_side_normalises_or_refuses():
+    assert read_side(None, 0) is None
+    assert read_side(FinSide.FIN_SUCC, 0) is FinSide.FIN_SUCC
+    assert read_side("FIN_PRED", 0) is FinSide.FIN_PRED
+    for raw in ("sideways", 0, ["FIN_PRED"]):
+        with pytest.raises(FormatError):
+            read_side(raw, 3)
+
+
+def test_check_listing_names_each_fault():
+    truth, prefix_ids = {0, 1, 2}, {0, 1, 2, 3}
+    assert check_listing("predecessors", 2, [0, 1, 2], truth, lambda y: False, prefix_ids) == []
+    assert check_listing("predecessors", 2, [0, 1], truth, lambda y: False, prefix_ids, exempt={2}) == []
+    (dup,) = check_listing("predecessors", 2, [0, 1, 1, 2], truth, lambda y: False, prefix_ids)
+    assert (dup.kind, dup.subject) == ("UNSOUND", (2, 1)) and "twice" in dup.detail
+    (miss,) = check_listing("predecessors", 2, [0, 2], truth, lambda y: False, prefix_ids)
+    assert (miss.kind, miss.subject) == ("INCOMPLETE", (2, 1))
+    # listed ids outside the prefix are decided by the comparison
+    (bad,) = check_listing("predecessors", 2, [0, 1, 2, 3, 9], truth, lambda y: y == 9, prefix_ids)
+    assert (bad.kind, bad.subject) == ("UNSOUND", (2, 3))
