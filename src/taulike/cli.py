@@ -1,15 +1,16 @@
 """Command-line front door.
 
-One binary, subcommand style: results go to stdout as schema-versioned
-JSON, diagnostics to stderr.  Exit 0 on success, 1 on a domain error
-(reported as ``{"error": {"code", "detail"}}`` on stdout), 2 on usage
-errors.
+One binary, subcommand style: results go to stdout as one line of
+schema-versioned JSON, diagnostics to stderr.  Exit 0 on success, 1 on a
+domain error (reported as ``{"error": {"code", "detail"}}`` on stdout) or
+when stdout is closed before the result is written, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -373,22 +374,27 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 1
     try:
         payload = _DISPATCH[args.command](args, parser)
+        code = 0
     except TaulikeError as exc:
-        print(json.dumps({"error": {"code": exc.code, "detail": str(exc)}}))
-        return 1
+        payload = {"error": {"code": exc.code, "detail": str(exc)}}
     except FileNotFoundError as exc:
-        print(json.dumps({"error": {"code": "FileNotFound", "detail": str(exc)}}))
-        return 1
+        payload = {"error": {"code": "FileNotFound", "detail": str(exc)}}
     except json.JSONDecodeError as exc:
-        print(json.dumps({"error": {"code": "FormatError", "detail": f"bad JSON: {exc}"}}))
+        payload = {"error": {"code": "FormatError", "detail": f"bad JSON: {exc}"}}
+    text = json.dumps(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; keep the interpreter's exit flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if getattr(args, "out", None):
+    if code == 0 and getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -249,11 +249,33 @@ def zeta_linearize(
     interval between an earlier-or-current pivot and the new pivot, minus
     earlier coverage.  A block goes LEFT when its pivot sits below some
     earlier pivot, else RIGHT; the order is realized as a deque.
+
+    Only the extremal earlier pivots are asked: for a new pivot p the run
+    queries ``interval(m, p)`` for each minimal earlier pivot m <= p,
+    ``interval(M, p)`` for each maximal earlier pivot M >= p, and
+    ``interval(p, p)``.  This yields the same blocks as asking every earlier
+    pivot z, under one assumption: an honest ``interval`` answers ``[]`` for
+    incomparable ids, as the ``OracleBundle`` contract says.  Proof:
+
+    - if z and p are incomparable, ``interval(z, p)`` is empty;
+    - if z <= p, the finite set of earlier pivots has a minimal m <= z, so
+      m <= p and [z, p] is contained in [m, p] by transitivity;
+    - if z >= p, dually some maximal M >= z has [p, z] contained in [p, M].
+
+    Each extremal pivot is itself an earlier pivot, so the union of answers,
+    hence ``members`` and ``covered``, is unchanged; p lies below some
+    earlier pivot exactly when it lies below a maximal one, so ``side`` is
+    unchanged too.  Asking only the *nearest* pivot would be unsound (with
+    z < a < p, z < z' < p and a incomparable to z', the element a lies in
+    [z, p] but not in [z', p]); the farthest pivots do not have that gap.
+    Incomparable pivots are no longer asked at all, so an oracle that has
+    no answer for such a pair no longer stops the run.
     """
     fn = require_oracle(stream, "interval")
     scan = _PivotScan(stream)
     covered: set[int] = set()
-    pivots: list[int] = []
+    minimal: list[int] = []
+    maximal: list[int] = []
     blocks: list[Block] = []
     positions: deque[int] = deque()
     emitted = 0
@@ -261,23 +283,26 @@ def zeta_linearize(
         pivot = scan.next_pivot(covered)
         if pivot is None:
             break
+        below = [m for m in minimal if stream.leq(m, pivot)]
+        above = [m for m in maximal if stream.leq(pivot, m)]
         new_cover: set[int] = {pivot}
-        for z in pivots + [pivot]:
+        for z in below + above + [pivot]:
             new_cover.update(oracle_answer(fn, z, pivot, what="interval oracle"))
         members = sorted(new_cover - covered)
         covered |= new_cover
-        side = (
-            BlockSide.LEFT
-            if any(stream.leq(pivot, z) for z in pivots)
-            else BlockSide.RIGHT
-        )
+        side = BlockSide.LEFT if above else BlockSide.RIGHT
+        # An earlier pivot below p means p is not minimal, and then no
+        # minimal pivot lies above it; dually for the maximal list.
+        if not below:
+            minimal = [m for m in minimal if not stream.leq(pivot, m)] + [pivot]
+        if not above:
+            maximal = [m for m in maximal if not stream.leq(m, pivot)] + [pivot]
         seg = _segment(stream, members)
         if side is BlockSide.LEFT:
             positions.extendleft(reversed(seg))
         else:
             positions.extend(seg)
         blocks.append(Block(pivot=pivot, members=tuple(members), side=side))
-        pivots.append(pivot)
         emitted += len(members)
     order = tuple(positions)
     anchor = order.index(blocks[0].pivot) if blocks else None

@@ -74,3 +74,50 @@ def extensions_by_permutation(elements, leq) -> set[tuple[int, ...]]:
         for p in permutations(sorted(elements))
         if is_linear_extension_naive(p, elements, leq)
     }
+
+
+def insertion_order(members, leq) -> list[int]:
+    """The deterministic insertion rule, restated: each element in turn goes
+    right after its last placed predecessor, else right before its first
+    placed successor, else at the right end."""
+    placed: list[int] = []
+    for x in members:
+        preds = [i for i, y in enumerate(placed) if leq(y, x)]
+        succs = [i for i, y in enumerate(placed) if leq(x, y)]
+        if preds:
+            placed.insert(preds[-1] + 1, x)
+        elif succs:
+            placed.insert(succs[0], x)
+        else:
+            placed.append(x)
+    return placed
+
+
+def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None):
+    """The two-ended block run with no pruning: every new pivot asks the
+    interval oracle from every earlier pivot and from itself.
+
+    Returns ``(blocks, order, anchor)`` with blocks as (pivot, members,
+    side) triples, over the finite ``enumeration`` or until
+    ``blocks_wanted`` blocks exist."""
+    covered: set[int] = set()
+    pivots: list[int] = []
+    blocks: list[tuple[int, tuple[int, ...], str]] = []
+    order: list[int] = []
+    for p in enumeration:
+        if len(blocks) == blocks_wanted:
+            break
+        if p in covered:
+            continue
+        cover = {p}
+        for z in pivots + [p]:
+            cover.update(interval(z, p))
+        members = sorted(cover - covered)
+        covered |= cover
+        left = any(leq(p, z) for z in pivots)
+        seg = insertion_order(members, leq)
+        order = seg + order if left else order + seg
+        blocks.append((p, tuple(members), "LEFT" if left else "RIGHT"))
+        pivots.append(p)
+    anchor = order.index(blocks[0][0]) if blocks else None
+    return blocks, order, anchor

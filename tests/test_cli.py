@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,18 @@ def test_golden_verify_cycle(tmp_path):
     assert got["error"]["code"] == "CycleError"
 
 
+def test_golden_linearize_zeta():
+    got = run_cli("linearize", "--kind", "zeta", "--family", "zeta-2", "--elements", "40")
+    assert got == golden("linearize_zeta.json")
+
+
+def test_golden_linearize_zeta_fence():
+    # a 14-element fence enumerated out of order: every interval is an edge
+    fence = str(GOLDEN / "fence.json")
+    got = run_cli("linearize", "--kind", "zeta", "--input", fence, "--elements", "14")
+    assert got == golden("linearize_zeta_fence.json")
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "taulike.cli", "linearize", "--kind", "omega", "--family", "omega", "--blocks", "4"],
@@ -67,7 +80,24 @@ def test_entry_point_subprocess():
         text=True,
     )
     assert proc.returncode == 0
+    assert proc.stdout.count("\n") == 1  # one line, like the error envelope
     assert json.loads(proc.stdout) == golden("linearize_omega.json")
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "taulike.cli", "embed", "--kind", "zeta", "--family", "omega", "--elements", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 # -- schema and round-trip contracts ----------------------------------------------
@@ -220,6 +250,9 @@ def test_domain_errors_exit_one(tmp_path):
     assert got["error"]["code"] == "FormatError"
     # zeta stream offers no predecessors oracle
     got = run_cli("linearize", "--kind", "omega", "--family", "zeta", expect=1)
+    assert got["error"]["code"] == "OracleMissing"
+    # between the two chains every interval is infinite
+    got = run_cli("linearize", "--kind", "zeta", "--family", "omega-omega-star", expect=1)
     assert got["error"]["code"] == "OracleMissing"
     got = run_cli("verify", "--input", str(tmp_path / "missing.json"), expect=1)
     assert got["error"]["code"] == "FileNotFound"

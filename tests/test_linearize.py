@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import brute
 
 from taulike import (
     ClassifierInconsistent,
@@ -249,6 +254,57 @@ def test_zeta_extends_on_random_finite(seed):
     for b in blocks:
         for x in b.members:
             assert p.le(x, b.pivot) or p.le(b.pivot, x)
+
+
+# -- the extremal-pivot rule against the every-pivot rule ------------------------------
+
+
+def _zeta_run_matches_every_pivot(stream, enumeration, blocks_wanted=None):
+    blocks, order = zeta_linearize(stream, blocks_wanted)
+    want_blocks, want_order, want_anchor = brute.zeta_blocks_every_pivot(
+        enumeration, stream.leq, stream.oracles.interval, blocks_wanted
+    )
+    got = [(b.pivot, b.members, b.side.value) for b in blocks]
+    assert got == want_blocks
+    assert list(order) == want_order
+    assert order.anchor_index == want_anchor
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.25, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("seed", range(8))
+def test_zeta_matches_every_pivot_rule_on_random_finite(density, seed):
+    p = random_poset(12, density, seed=seed)
+    _zeta_run_matches_every_pivot(stream_from_finite(p), p.elements)
+
+
+def test_zeta_matches_every_pivot_rule_on_nearest_pivot_counterexample():
+    # z < a < p and z < z' < p with a incomparable to z': a lies in [z, p]
+    # only, so a rule asking just the nearest earlier pivot would miss it
+    z, z2, a, p = range(4)
+    poset = build_poset(range(4), [(z, a), (a, p), (z, z2), (z2, p)])
+    for enumeration in permutations(range(4)):
+        shuffled = poset.restrict(enumeration)
+        _zeta_run_matches_every_pivot(stream_from_finite(shuffled), enumeration)
+
+
+@pytest.mark.parametrize("variant", [0, 1, 2])
+def test_zeta_matches_every_pivot_rule_on_canonical(variant):
+    stream = zeta_stream(variant)
+    enumeration = [stream.element_at(s) for s in range(120)]
+    _zeta_run_matches_every_pivot(stream, enumeration, 60)
+
+
+@pytest.mark.parametrize("variant", [0, 1, 2])
+def test_zeta_interval_calls_per_block_stay_bounded(variant):
+    stream = zeta_stream(variant)
+    calls = []
+    inner = stream.oracles.interval
+    stream.oracles = dataclasses.replace(
+        stream.oracles, interval=lambda x, y: calls.append((x, y)) or inner(x, y)
+    )
+    blocks, order = zeta_linearize(stream, elements_wanted=400)
+    assert len(order) == 400
+    assert len(calls) <= 3 * len(blocks)
 
 
 @pytest.mark.parametrize("seed", range(6))
