@@ -25,10 +25,8 @@ from .poset import (
     LinearOrder,
     build_poset,
     disjoint_sum,
-    dump_poset_json,
     is_linear_extension,
     lex_sum,
-    load_poset_json,
     pair_id,
     poset_from_json_dict,
     poset_to_json_dict,

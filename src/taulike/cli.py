@@ -2,8 +2,10 @@
 
 One binary, subcommand style: results go to stdout as one line of
 schema-versioned JSON, diagnostics to stderr.  Exit 0 on success, 1 on a
-domain error (reported as ``{"error": {"code", "detail"}}`` on stdout) or
-when stdout is closed before the result is written, 2 on usage errors.
+domain or file error (reported as ``{"error": {"code", "detail"}}`` on
+stdout) or when stdout is closed before the result is written, 2 on usage
+errors.  ``--out`` is written before anything is printed, so a failed write
+prints only the error.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ _DEFAULT_BLOCKS = 8
 _DEFAULT_SPLIT_ELEMENTS = 32
 
 
+def natural(text: str) -> int:
+    """argparse type for budgets and sizes: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", metavar="FILE", help="poset JSON file to load")
     p.add_argument(
@@ -76,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin = sub.add_parser("linearize", help="run a block linearization and print the order")
     _add_source_flags(p_lin)
     p_lin.add_argument("--kind", required=True, choices=_KIND_CHOICES)
-    p_lin.add_argument("--blocks", type=int, help=f"block budget (default {_DEFAULT_BLOCKS})")
+    p_lin.add_argument("--blocks", type=natural, help=f"block budget (default {_DEFAULT_BLOCKS})")
     p_lin.add_argument(
         "--elements",
-        type=int,
+        type=natural,
         help=f"element budget (split default {_DEFAULT_SPLIT_ELEMENTS})",
     )
     _add_common_flags(p_lin)
@@ -87,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_emb = sub.add_parser("embed", help="embed a prefix into a canonical order")
     _add_source_flags(p_emb)
     p_emb.add_argument("--kind", required=True, choices=_KIND_CHOICES)
-    p_emb.add_argument("--blocks", type=int)
-    p_emb.add_argument("--elements", type=int)
+    p_emb.add_argument("--blocks", type=natural)
+    p_emb.add_argument("--elements", type=natural)
     _add_common_flags(p_emb)
 
     p_gad = sub.add_parser("gadget", help="build an encoder gadget and print it")
@@ -102,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = gad_sub.add_parser(name, help=helptext)
         _add_source_flags(q)
         q.add_argument("--kind", choices=_KIND_CHOICES, help="gadget variant (fuf only)")
-        q.add_argument("--elements", type=int, help="prefix length to include (default 16)")
+        q.add_argument("--elements", type=natural, help="prefix length to include (default 16)")
         _add_common_flags(q)
 
     p_dec = sub.add_parser("decode", help="run a decoder against a gadget")
@@ -112,25 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(q)
     q = dec_sub.add_parser("false-stages", help="undercut stages read off a split run")
     q.add_argument("--f", metavar="SPEC", required=True)
-    q.add_argument("--horizon", type=int, default=100, help="chain elements to emit (default 100)")
-    q.add_argument("--elements", type=int, help="report stages below this (default min(50, horizon))")
+    q.add_argument("--horizon", type=natural, default=100, help="chain elements to emit (default 100)")
+    q.add_argument("--elements", type=natural, help="report stages below this (default min(50, horizon))")
     _add_common_flags(q)
     q = dec_sub.add_parser("range", help="membership of m in the function's value set")
     q.add_argument("--f", metavar="SPEC", required=True)
-    q.add_argument("--elements", type=int, required=True, metavar="M", help="the value m to test")
-    q.add_argument("--horizon", type=int, default=256, help="embedding element budget (default 256)")
+    q.add_argument("--elements", type=natural, required=True, metavar="M", help="the value m to test")
+    q.add_argument("--horizon", type=natural, default=256, help="embedding element budget (default 256)")
     _add_common_flags(q)
 
     p_ver = sub.add_parser("verify", help="check finiteness promises of a poset or stream")
     _add_source_flags(p_ver)
     p_ver.add_argument("--kind", choices=_KIND_CHOICES, help="restrict to one kind (default: all)")
-    p_ver.add_argument("--elements", type=int, help="prefix size for streams (default 50)")
+    p_ver.add_argument("--elements", type=natural, help="prefix size for streams (default 50)")
     _add_common_flags(p_ver)
 
     p_ora = sub.add_parser("oracle", help="validate a stream's oracle bundle on a prefix")
     _add_source_flags(p_ora)
     p_ora.add_argument("--kind", choices=_KIND_CHOICES, help="gadget variant (fuf family)")
-    p_ora.add_argument("--elements", type=int, help="prefix size (default 100)")
+    p_ora.add_argument("--elements", type=natural, help="prefix size (default 100)")
     _add_common_flags(p_ora)
 
     return parser
@@ -146,16 +156,21 @@ def _parse_sets(text: str, parser: argparse.ArgumentParser) -> list[int]:
     return sizes
 
 
-def _load_poset(path: str):
-    doc = json.loads(Path(path).read_text())
-    return poset_from_json_dict(doc)
+def _read_json(path: str):
+    """The JSON document in ``path``; bytes that are not UTF-8 JSON are a FormatError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from exc
 
 
 def _make_stream(args, parser: argparse.ArgumentParser):
     if getattr(args, "input", None) and getattr(args, "family", None):
         parser.error("--input and --family are mutually exclusive")
     if getattr(args, "input", None):
-        return stream_from_finite(_load_poset(args.input))
+        return stream_from_finite(poset_from_json_dict(_read_json(args.input)))
     family = getattr(args, "family", None)
     if not family:
         parser.error("one of --input or --family is required")
@@ -294,8 +309,7 @@ def _cmd_gadget(args, parser) -> dict:
 
 def _cmd_decode(args, parser) -> dict:
     if args.what == "fuf":
-        doc = json.loads(Path(args.input).read_text())
-        gadget = _fuf_gadget_from_json(doc)
+        gadget = _fuf_gadget_from_json(_read_json(args.input))
         order = szpilrajn_extend(gadget.base)
         bound = fuf_decode(order, gadget)
         return {
@@ -337,7 +351,7 @@ def _cmd_verify(args, parser) -> dict:
     if getattr(args, "input", None) and getattr(args, "family", None):
         parser.error("--input and --family are mutually exclusive")
     if args.input:
-        target = _load_poset(args.input)
+        target = poset_from_json_dict(_read_json(args.input))
         name = args.input
     else:
         target = _make_stream(args, parser)
@@ -371,20 +385,23 @@ _DISPATCH = {
 }
 
 
+def _error_code(exc: Exception) -> str:
+    if isinstance(exc, TaulikeError):
+        return exc.code
+    return "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code = 1
     try:
-        payload = _DISPATCH[args.command](args, parser)
+        text = json.dumps(_DISPATCH[args.command](args, parser))
+        if getattr(args, "out", None):
+            Path(args.out).write_text(text + "\n")
         code = 0
-    except TaulikeError as exc:
-        payload = {"error": {"code": exc.code, "detail": str(exc)}}
-    except FileNotFoundError as exc:
-        payload = {"error": {"code": "FileNotFound", "detail": str(exc)}}
-    except json.JSONDecodeError as exc:
-        payload = {"error": {"code": "FormatError", "detail": f"bad JSON: {exc}"}}
-    text = json.dumps(payload)
+    except (TaulikeError, OSError) as exc:
+        text = json.dumps({"error": {"code": _error_code(exc), "detail": str(exc)}})
+        code = 1
     try:
         print(text)
         sys.stdout.flush()
@@ -392,8 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         # The reader went away; keep the interpreter's exit flush quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if code == 0 and getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
     return code
 
 

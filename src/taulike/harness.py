@@ -163,9 +163,9 @@ def check_tau_like(
                 counts[x] = 0
         max_interval = None
         if kind is Kind.ZETA and target.size:
-            mi = target._matrix.astype(np.int32)
-            # (mi @ mi)[i, j] counts the z with i <= z <= j
-            max_interval = int((mi @ mi).max())
+            mf = target.matrix.astype(np.float32)
+            # (mf @ mf)[i, j] counts the z with i <= z <= j, exactly below 2**24
+            max_interval = int((mf @ mf).max())
             counts = {x: 0 for x in target.elements}
         return TauReport(kind=kind, ok=True, scope="finite", counts=counts, max_interval=max_interval)
 

@@ -110,8 +110,7 @@ def szpilrajn_extend(poset: FinitePoset) -> LinearOrder:
 
 
 def _induced(stream: StreamPoset, members: Sequence[int]) -> FinitePoset:
-    pairs = [(x, y) for x in members for y in members if stream.leq(x, y)]
-    return FinitePoset.from_closed(tuple(members), pairs)
+    return FinitePoset(members, stream.relation_matrix(members))
 
 
 def _segment(stream: StreamPoset, members: Sequence[int]) -> list[int]:

@@ -1,16 +1,17 @@
 """Finite partial orders, linear orders, and canonical comparison points.
 
 Element ids are non-negative ints throughout.  A :class:`FinitePoset` stores
-the *full* reflexive-transitive relation, so ``le`` is a set lookup; every
-constructor re-validates the partial-order axioms before returning.
+its full reflexive-transitive relation as one read-only boolean matrix, so
+``le`` is an array lookup and cones, intervals and covers are row, column and
+matrix operations; every constructor re-checks the partial-order axioms
+before returning.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,14 +38,9 @@ __all__ = [
     "POSET_SCHEMA",
     "poset_to_json_dict",
     "poset_from_json_dict",
-    "load_poset_json",
-    "dump_poset_json",
 ]
 
 POSET_SCHEMA = "taulike.poset/1"
-
-# Pure-python closure/validation below this size; numpy above it.
-_DENSE_CUTOFF = 16
 
 
 def pair_id(part: int, member: int) -> int:
@@ -64,93 +60,99 @@ def unpair_id(code: int) -> tuple[int, int]:
     return s - member, member
 
 
-def _check_ids(elements: Sequence[int]) -> None:
-    seen: set[int] = set()
-    for x in elements:
+def _index_ids(elements: Sequence[int]) -> dict[int, int]:
+    """Position of each id; raises :class:`UnknownIdError` on a bad or repeated id."""
+    index: dict[int, int] = {}
+    for i, x in enumerate(elements):
         if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise UnknownIdError(f"element ids must be non-negative ints, got {x!r}")
-        if x in seen:
+        if index.setdefault(x, i) != i:
             raise UnknownIdError(f"duplicate element id {x}")
-        seen.add(x)
+    return index
 
 
-@dataclass(frozen=True)
+def _generator_matrix(
+    index: Mapping[int, int], pairs: Iterable[tuple[int, int]]
+) -> np.ndarray:
+    """The diagonal plus one cell per ``(lower, upper)`` pair."""
+    m = np.eye(len(index), dtype=bool)
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise UnknownIdError(f"relation pair ({a}, {b}) references an undeclared id")
+        m[index[a], index[b]] = True
+    return m
+
+
+def order_axiom_faults(m: np.ndarray) -> dict[str, tuple[int, ...]]:
+    """Each partial-order axiom the square boolean matrix ``m`` breaks, in the
+    order reflexive, antisymmetric, transitive, with its first row-major
+    witness as matrix indices: ``(i,)``, ``(i, j)`` or ``(i, j, k)``."""
+    faults: dict[str, tuple[int, ...]] = {}
+    diagonal = m.diagonal()
+    if not diagonal.all():
+        faults["reflexive"] = (int(np.argmin(diagonal)),)
+    both = m & m.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        faults["antisymmetric"] = tuple(np.argwhere(both)[0].tolist())
+    mf = m.astype(np.float32)
+    gap = (mf @ mf > 0) & ~m
+    if gap.any():
+        i, k = np.argwhere(gap)[0].tolist()
+        faults["transitive"] = (i, int(np.argmax(m[i] & m[:, k])), k)
+    return faults
+
+
+@dataclass(frozen=True, eq=False)
 class FinitePoset:
     """A finite poset over explicit ids.
 
     ``elements`` fixes the enumeration order used by every deterministic
-    algorithm downstream; ``leq`` is the complete closed relation as a set
-    of ``(lower, upper)`` pairs, including the diagonal.
+    algorithm downstream; ``matrix[i, j]`` says ``elements[i] <= elements[j]``
+    in the closed relation.  The matrix is a read-only copy of the one given
+    and the only store: ``leq``, cones, intervals and covers are read off it.
+    Equal posets list the same elements in the same order under one relation.
     """
 
     elements: tuple[int, ...]
-    leq: frozenset[tuple[int, int]]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_ids(self.elements)
-        self._validate()
-
-    # -- construction -------------------------------------------------
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "_index", _index_ids(self.elements))
+        m = np.array(self.matrix, dtype=bool)
+        if m.shape != (len(self.elements),) * 2:
+            raise FormatError(f"relation matrix of shape {m.shape} for {len(self.elements)} elements")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        for axiom, at in order_axiom_faults(m).items():
+            ids = [self.elements[i] for i in at]
+            if axiom == "antisymmetric":
+                raise CycleError(f"elements {ids[0]} and {ids[1]} are mutually below each other")
+            raise FormatError(f"relation is not {axiom} at {' <= '.join(map(str, ids))}")
 
     @classmethod
     def from_closed(
         cls, elements: Iterable[int], pairs: Iterable[tuple[int, int]]
     ) -> "FinitePoset":
-        """Build from an already-closed relation; axioms are still checked."""
+        """Build from closed ``(lower, upper)`` pairs, adding the diagonal."""
         elems = tuple(elements)
-        closed = set((int(a), int(b)) for a, b in pairs)
-        closed.update((x, x) for x in elems)
-        return cls(elems, frozenset(closed))
+        return cls(elems, _generator_matrix(_index_ids(elems), pairs))
 
-    def _validate(self) -> None:
-        index = {x: i for i, x in enumerate(self.elements)}
-        for a, b in self.leq:
-            if a not in index or b not in index:
-                raise UnknownIdError(f"relation pair ({a}, {b}) leaves the element set")
-        n = len(self.elements)
-        if n <= _DENSE_CUTOFF:
-            leq = self.leq
-            for x in self.elements:
-                if (x, x) not in leq:
-                    raise FormatError(f"relation is missing the diagonal at {x}")
-            for a, b in leq:
-                if a != b and (b, a) in leq:
-                    raise CycleError(f"elements {a} and {b} are mutually below each other")
-            for a, b in leq:
-                for c in self.elements:
-                    if (b, c) in leq and (a, c) not in leq:
-                        raise FormatError(
-                            f"relation is not transitive: {a}<={b}<={c} but not {a}<={c}"
-                        )
-        else:
-            m = self._matrix
-            if not m.diagonal().all():
-                raise FormatError("relation is missing part of the diagonal")
-            both = m & m.T
-            np.fill_diagonal(both, False)
-            if both.any():
-                a, b = np.argwhere(both)[0]
-                raise CycleError(
-                    f"elements {self.elements[a]} and {self.elements[b]} are mutually below each other"
-                )
-            reach = (m.astype(np.float32) @ m.astype(np.float32)) > 0
-            if (reach & ~m).any():
-                raise FormatError("relation is not transitive")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FinitePoset):
+            return NotImplemented
+        return self.elements == other.elements and np.array_equal(self.matrix, other.matrix)
 
-    # -- cached views --------------------------------------------------
+    def __hash__(self) -> int:
+        return hash((self.elements, np.packbits(self.matrix).tobytes()))
 
     @cached_property
-    def _index(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        n = len(self.elements)
-        m = np.zeros((n, n), dtype=bool)
-        idx = {x: i for i, x in enumerate(self.elements)}
-        for a, b in self.leq:
-            m[idx[a], idx[b]] = True
-        return m
+    def leq(self) -> frozenset[tuple[int, int]]:
+        """The closed relation as ``(lower, upper)`` pairs, diagonal included."""
+        els = self.elements
+        ii, jj = np.nonzero(self.matrix)
+        return frozenset((els[i], els[j]) for i, j in zip(ii.tolist(), jj.tolist()))
 
     # -- queries -------------------------------------------------------
 
@@ -161,96 +163,52 @@ class FinitePoset:
     def __contains__(self, x: int) -> bool:
         return x in self._index
 
-    def le(self, x: int, y: int) -> bool:
-        if x not in self._index or y not in self._index:
-            raise UnknownIdError(f"le() saw unknown id in ({x}, {y})")
-        return (x, y) in self.leq
+    def _at(self, x: int) -> int:
+        i = self._index.get(x)
+        if i is None:
+            raise UnknownIdError(f"element {x} is not in this poset")
+        return i
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.le(x, y)
+    def _listed(self, mask: np.ndarray) -> list[int]:
+        els = self.elements
+        return [els[i] for i in mask.nonzero()[0].tolist()]
+
+    def le(self, x: int, y: int) -> bool:
+        index = self._index
+        if x not in index or y not in index:
+            raise UnknownIdError(f"le() saw unknown id in ({x}, {y})")
+        return self.matrix.item(index[x], index[y])
 
     def predecessors(self, x: int) -> list[int]:
         """All y with y <= x, in element order (includes x)."""
-        return [y for y in self.elements if self.le(y, x)]
+        return self._listed(self.matrix[:, self._at(x)])
 
     def successors(self, x: int) -> list[int]:
         """All y with x <= y, in element order (includes x)."""
-        return [y for y in self.elements if self.le(x, y)]
+        return self._listed(self.matrix[self._at(x)])
 
     def interval(self, x: int, y: int) -> list[int]:
         """All z with x <= z <= y or y <= z <= x, in element order."""
-        return [
-            z
-            for z in self.elements
-            if (self.le(x, z) and self.le(z, y)) or (self.le(y, z) and self.le(z, x))
-        ]
+        m, i, j = self.matrix, self._at(x), self._at(y)
+        return self._listed((m[i] & m[:, j]) | (m[j] & m[:, i]))
 
     def restrict(self, keep: Iterable[int]) -> "FinitePoset":
         """Induced sub-poset on ``keep``, in the order given."""
         kept = tuple(keep)
-        for x in kept:
-            if x not in self._index:
-                raise UnknownIdError(f"restrict() saw unknown id {x}")
-        kept_set = set(kept)
-        pairs = [(a, b) for a, b in self.leq if a in kept_set and b in kept_set]
-        return FinitePoset.from_closed(kept, pairs)
+        rows = [self._at(x) for x in kept]
+        return FinitePoset(kept, self.matrix[np.ix_(rows, rows)])
 
     def covers(self) -> list[tuple[int, int]]:
-        """The transitive reduction, sorted; closure recovers ``leq`` exactly."""
-        strict = {(a, b) for a, b in self.leq if a != b}
-        out = []
-        for a, b in strict:
-            if not any((a, c) in strict and (c, b) in strict for c in self.elements):
-                out.append((a, b))
-        return sorted(out)
+        """The transitive reduction, sorted; closure recovers ``leq`` exactly.
 
-
-def _close_and_check(
-    elements: Sequence[int], generators: Iterable[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    idx = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    gen = []
-    for a, b in generators:
-        if a not in idx or b not in idx:
-            raise UnknownIdError(f"relation pair ({a}, {b}) references an undeclared id")
-        gen.append((idx[a], idx[b]))
-
-    if n <= _DENSE_CUTOFF:
-        adj = [set() for _ in range(n)]
-        for i, j in gen:
-            adj[i].add(j)
-        for i in range(n):
-            adj[i].add(i)
-        # Warshall, row-at-a-time; n is small here.
-        for k in range(n):
-            for i in range(n):
-                if k in adj[i]:
-                    adj[i] |= adj[k]
-        for i in range(n):
-            for j in adj[i]:
-                if i != j and i in adj[j]:
-                    raise CycleError(
-                        f"elements {elements[i]} and {elements[j]} are mutually below each other"
-                    )
-        return frozenset(
-            (elements[i], elements[j]) for i in range(n) for j in adj[i]
-        )
-
-    m = np.eye(n, dtype=bool)
-    for i, j in gen:
-        m[i, j] = True
-    for k in range(n):
-        m |= np.outer(m[:, k], m[k, :])
-    both = m & m.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        a, b = np.argwhere(both)[0]
-        raise CycleError(
-            f"elements {elements[a]} and {elements[b]} are mutually below each other"
-        )
-    ii, jj = np.nonzero(m)
-    return frozenset((elements[i], elements[j]) for i, j in zip(ii.tolist(), jj.tolist()))
+        A strict pair is a cover when no element lies strictly between, that
+        is, strict and not strict·strict (Aho, Garey and Ullman, 1972).
+        """
+        strict = self.matrix & ~np.eye(self.size, dtype=bool)
+        sf = strict.astype(np.float32)
+        ii, jj = np.nonzero(strict & ~(sf @ sf > 0))
+        els = self.elements
+        return sorted((els[i], els[j]) for i, j in zip(ii.tolist(), jj.tolist()))
 
 
 def build_poset(
@@ -262,9 +220,12 @@ def build_poset(
     :class:`UnknownIdError` on dangling or duplicate ids.
     """
     elems = tuple(elements)
-    _check_ids(elems)
-    closed = _close_and_check(elems, relation)
-    return FinitePoset(elems, closed)
+    m = _generator_matrix(_index_ids(elems), relation)
+    # Warshall over boolean rows: every row that reaches k takes k's row, so
+    # after step k the paths through 0..k are in.
+    for k in range(len(elems)):
+        m[np.flatnonzero(m[:, k])] |= m[k]
+    return FinitePoset(elems, m)
 
 
 # -- sums ---------------------------------------------------------------
@@ -388,22 +349,26 @@ def is_linear_extension(
     if set(positions) != set(poset.elements) or len(positions) != poset.size:
         return ExtensionCheck(False, "element-mismatch", "orders a different element set")
     at = {x: i for i, x in enumerate(positions)}
-    for a, b in poset.leq:
-        if at[a] > at[b]:
-            return ExtensionCheck(False, "order-violation", f"{a} <= {b} but {b} comes first")
+    pos = np.array([at[x] for x in poset.elements], dtype=np.int64)
+    backwards = poset.matrix & (pos[:, None] > pos[None, :])
+    if backwards.any():
+        i, j = np.argwhere(backwards)[0]
+        a, b = poset.elements[i], poset.elements[j]
+        return ExtensionCheck(False, "order-violation", f"{a} <= {b} but {b} comes first")
     return ExtensionCheck(True)
 
 
 # -- canonical comparison points ------------------------------------------
 
 
+@total_ordering
 @dataclass(frozen=True)
 class CanonicalPoint:
     """A point of one of the four canonical orders, with its native comparison.
 
     Coordinates: naturals for omega (ascending) and omega-star (descending),
     ``(side, k)`` pairs for omega-omega-star with side 0 below side 1, and
-    signed ints for zeta.
+    signed ints for zeta.  Points of different kinds do not compare.
     """
 
     kind: Kind
@@ -439,27 +404,12 @@ class CanonicalPoint:
         side, k = self.coord
         return (side, k if side == 0 else -k)
 
-    def _need_same_kind(self, other: "CanonicalPoint") -> None:
+    def __lt__(self, other: "CanonicalPoint") -> bool:
         if not isinstance(other, CanonicalPoint):
             raise TypeError(f"cannot compare CanonicalPoint with {type(other).__name__}")
         if other.kind is not self.kind:
             raise TypeError(f"cannot compare {self.kind.value} with {other.kind.value}")
-
-    def __lt__(self, other: "CanonicalPoint") -> bool:
-        self._need_same_kind(other)
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "CanonicalPoint") -> bool:
-        self._need_same_kind(other)
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "CanonicalPoint") -> bool:
-        self._need_same_kind(other)
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "CanonicalPoint") -> bool:
-        self._need_same_kind(other)
-        return self.sort_key() >= other.sort_key()
 
 
 # -- JSON ------------------------------------------------------------------
@@ -506,18 +456,3 @@ def poset_from_json_dict(doc: object) -> FinitePoset:
             raise FormatError(f"relation entry {item!r} is not an id pair")
         pairs.append((item[0], item[1]))
     return build_poset(elements, pairs)
-
-
-def dump_poset_json(poset: FinitePoset, path: str, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poset_to_json_dict(poset, meta), fh, indent=2)
-        fh.write("\n")
-
-
-def load_poset_json(path: str) -> FinitePoset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    return poset_from_json_dict(doc)

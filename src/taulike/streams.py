@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FiniteDomainEnd, FormatError, OracleMissing, UnknownIdError
 from .kinds import FinSide
-from .poset import FinitePoset
+from .poset import FinitePoset, order_axiom_faults
 
 __all__ = [
     "OracleBundle",
@@ -151,10 +151,7 @@ def prefix(stream: StreamPoset, s: int) -> FinitePoset:
     Propagates :class:`FiniteDomainEnd` if the stream ends before stage ``s``.
     """
     ids = [stream.element_at(stage) for stage in range(s)]
-    m = stream.relation_matrix(ids)
-    ii, jj = np.nonzero(m)
-    pairs = [(ids[i], ids[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-    return FinitePoset.from_closed(ids, pairs)
+    return FinitePoset(ids, stream.relation_matrix(ids))
 
 
 def require_oracle(stream: StreamPoset, name: str):
@@ -229,6 +226,11 @@ _FULL_CHECK_ELEMENTS = 300  # above this, per-element checks are sampled
 _FULL_CHECK_INTERVAL = 120  # above this, interval pairs are sampled
 _ANSWER_SOUND_CAP = 2000  # listed members verified per answer before sampling
 _MAX_RECORDED = 50  # violations recorded per oracle before truncating
+_RELATION_FAULTS = {
+    "reflexive": "relation is not reflexive here",
+    "antisymmetric": "relation is not antisymmetric here",
+    "transitive": "relation is not transitive on the prefix",
+}
 
 
 def _sample_indices(n: int, cap: int, seed: int) -> list[int]:
@@ -328,28 +330,9 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
                 break
 
     # The relation itself must restrict to a partial order on the prefix.
-    if not m.diagonal().all():
-        i = int(np.argmin(m.diagonal()))
-        report.violations.append(
-            Violation("RELATION", "leq", (ids[i],), "relation is not reflexive here")
-        )
-    both = m & m.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = np.argwhere(both)[0]
-        report.violations.append(
-            Violation(
-                "RELATION",
-                "leq",
-                (ids[i], ids[j]),
-                "relation is not antisymmetric here",
-            )
-        )
-    mf = m.astype(np.float32)
-    if ((mf @ mf > 0) & ~m).any():
-        report.violations.append(
-            Violation("RELATION", "leq", (), "relation is not transitive on the prefix")
-        )
+    for axiom, at in order_axiom_faults(m).items():
+        subject = () if axiom == "transitive" else tuple(ids[i] for i in at)
+        report.violations.append(Violation("RELATION", "leq", subject, _RELATION_FAULTS[axiom]))
 
     bundle = stream.oracles
     if bundle is None:
@@ -610,7 +593,7 @@ def stream_from_finite(
 
     def block(ids: Sequence[int]) -> np.ndarray:
         rows = [idx[x] for x in ids]
-        return poset._matrix[np.ix_(rows, rows)]
+        return poset.matrix[np.ix_(rows, rows)]
 
     return StreamPoset(
         lambda s: elems[s],  # the size guard fires before the index can overrun

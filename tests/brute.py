@@ -40,6 +40,20 @@ def interval(universe, leq, x, y) -> list[int]:
     )
 
 
+def covers(universe, leq) -> list[tuple[int, int]]:
+    """Strict pairs a < b with no c strictly between them, sorted."""
+
+    def lt(a, b):
+        return a != b and leq(a, b)
+
+    return sorted(
+        (a, b)
+        for a in universe
+        for b in universe
+        if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in universe)
+    )
+
+
 def stage_leq(values, n: int, m: int) -> bool:
     """Comparison of enumeration stages, straight from the defining clauses:
     n sits below m when some later-up-to-m value drops under f(n), or when

@@ -16,6 +16,10 @@ from taulike.cli import main
 from taulike.poset import poset_from_json_dict, poset_to_json_dict
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
+# the entry point in a child process, importing this checkout's package
+CLI = [sys.executable, "-m", "taulike.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*argv: str, expect: int = 0):
@@ -28,6 +32,17 @@ def run_cli(*argv: str, expect: int = 0):
     assert code == expect, f"exit {code}, output: {buf.getvalue()!r}"
     text = buf.getvalue()
     return json.loads(text) if text.strip() else None
+
+
+def run_cli_error(*argv: str) -> dict:
+    """Run a command that must fail: exit 1, one JSON object on stdout, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 1
+    assert out.getvalue().count("\n") == 1
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return json.loads(out.getvalue())["error"]
 
 
 def golden(name: str):
@@ -75,9 +90,10 @@ def test_golden_linearize_zeta_fence():
 
 def test_entry_point_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "taulike.cli", "linearize", "--kind", "omega", "--family", "omega", "--blocks", "4"],
+        [*CLI, "linearize", "--kind", "omega", "--family", "omega", "--blocks", "4"],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.count("\n") == 1  # one line, like the error envelope
@@ -89,10 +105,11 @@ def test_closed_stdout_exits_one_without_traceback():
     os.close(read_end)  # the reader is gone before anything is written
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "taulike.cli", "embed", "--kind", "zeta", "--family", "omega", "--elements", "5"],
+            [*CLI, "embed", "--kind", "zeta", "--family", "omega", "--elements", "5"],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=CLI_ENV,
         )
     finally:
         os.close(write_end)
@@ -234,6 +251,15 @@ def test_usage_errors_exit_two():
     run_cli("gadget", "fuf", expect=2)  # --sets required
     run_cli("gadget", "fuf", "--sets", "1;x", expect=2)
     run_cli("decode", "false-stages", expect=2)  # --f required
+    # budgets, horizons and prefix sizes are natural numbers
+    run_cli("linearize", "--kind", "omega", "--family", "omega", "--elements", "-3", expect=2)
+    run_cli("linearize", "--kind", "omega", "--family", "omega", "--blocks", "-1", expect=2)
+    run_cli("embed", "--kind", "omega", "--family", "omega", "--elements", "-1", expect=2)
+    run_cli("verify", "--family", "omega", "--elements", "-1", expect=2)
+    run_cli("oracle", "--family", "omega", "--elements", "-1", expect=2)
+    run_cli("gadget", "range", "--f", "identity", "--elements", "-2", expect=2)
+    run_cli("decode", "false-stages", "--f", "identity", "--horizon", "-1", expect=2)
+    run_cli("decode", "range", "--f", "identity", "--elements", "-1", expect=2)
 
 
 def test_input_and_family_conflict(tmp_path):
@@ -260,6 +286,45 @@ def test_domain_errors_exit_one(tmp_path):
     bad.write_text("{not json")
     got = run_cli("verify", "--input", str(bad), expect=1)
     assert got["error"]["code"] == "FormatError"
+
+
+def test_out_to_a_missing_directory_prints_only_the_error(tmp_path):
+    target = tmp_path / "nodir" / "x.json"
+    err = run_cli_error(
+        "linearize", "--kind", "omega", "--family", "omega", "--blocks", "2", "--out", str(target)
+    )
+    assert err["code"] == "FileNotFound"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["linearize", "--kind", "omega"], ["verify"], ["decode", "fuf"]], ids=" ".join
+)
+def test_directory_input_is_a_file_error(tmp_path, argv):
+    assert run_cli_error(*argv, "--input", str(tmp_path))["code"] == "FileError"
+
+
+@pytest.mark.parametrize(
+    "argv", [["linearize", "--kind", "omega"], ["verify"], ["decode", "fuf"]], ids=" ".join
+)
+def test_non_utf8_input_is_a_format_error(tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"elements": [0], "relation": []}')
+    assert run_cli_error(*argv, "--input", str(bad))["code"] == "FormatError"
+
+
+def test_file_error_subprocess_prints_one_envelope(tmp_path):
+    proc = subprocess.run(
+        [*CLI, "linearize", "--kind", "omega", "--family", "omega", "--blocks", "2",
+         "--out", str(tmp_path / "nodir" / "x.json")],
+        capture_output=True,
+        text=True,
+        env=CLI_ENV,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "FileNotFound"
+    assert "Traceback" not in proc.stderr
 
 
 def test_decode_fuf_rejects_non_gadget_file(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ import brute
 from taulike import (
     CanonicalPoint,
     CycleError,
+    FinitePoset,
     FormatError,
     Kind,
     LinearOrder,
@@ -24,6 +26,7 @@ from taulike import (
     pair_id,
     poset_from_json_dict,
     poset_to_json_dict,
+    random_poset,
     truncate_order,
     unpair_id,
 )
@@ -70,8 +73,8 @@ def test_build_negative_id_rejected():
 
 
 @given(
-    n=st.integers(0, 6),
-    pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12),
+    n=st.integers(0, 24),
+    pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
 )
 def test_build_closure_matches_naive(n, pairs):
     pairs = [(a, b) for a, b in pairs if a < n and b < n]
@@ -111,6 +114,73 @@ def test_restrict_keeps_induced_order():
 def test_covers_of_chain_are_steps():
     p = build_poset([0, 1, 2], [(0, 1), (1, 2)])
     assert sorted(p.covers()) == [(0, 1), (1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_matrix_queries_match_brute_force(n, density, seed, data):
+    p = random_poset(n, density, seed)
+    universe = p.elements
+    truth = p.leq
+    le = lambda a, b: (a, b) in truth
+    assert all(p.le(a, b) == le(a, b) for a in universe for b in universe)
+    for x in universe:
+        assert p.predecessors(x) == brute.predecessors(universe, le, x)
+        assert p.successors(x) == brute.successors(universe, le, x)
+        for y in universe:
+            assert p.interval(x, y) == brute.interval(universe, le, x, y)
+    covers = p.covers()
+    assert covers == brute.covers(universe, le)
+    assert brute.closure_pairs(universe, covers) == truth
+    # restrict keeps the order given, and its queries list in that order
+    keep = data.draw(st.permutations(universe))[: data.draw(st.integers(0, n))]
+    q = p.restrict(keep)
+    assert q.elements == tuple(keep)
+    assert q.leq == {(a, b) for a, b in truth if a in keep and b in keep}
+    for x in keep:
+        assert q.predecessors(x) == [y for y in keep if le(y, x)]
+        assert q.successors(x) == [y for y in keep if le(x, y)]
+
+
+def test_constructor_rejects_bad_matrices():
+    eye = np.eye(3, dtype=bool)
+    with pytest.raises(FormatError, match="shape"):
+        FinitePoset((0, 1, 2), np.eye(2, dtype=bool))
+    m = eye.copy()
+    m[1, 1] = False
+    with pytest.raises(FormatError, match="not reflexive at 1"):
+        FinitePoset((0, 1, 2), m)
+    m = eye.copy()
+    m[0, 2] = m[2, 0] = True
+    with pytest.raises(CycleError, match="elements 0 and 2 are mutually below each other"):
+        FinitePoset((0, 1, 2), m)
+    m = eye.copy()
+    m[0, 1] = m[1, 2] = True
+    with pytest.raises(FormatError, match="not transitive at 0 <= 1 <= 2"):
+        FinitePoset((0, 1, 2), m)
+
+
+def test_matrix_is_read_only_and_owned():
+    given_matrix = np.eye(2, dtype=bool)
+    p = FinitePoset((0, 1), given_matrix)
+    with pytest.raises(ValueError):
+        p.matrix[0, 1] = True
+    given_matrix[0, 1] = True  # the poset keeps its own copy
+    assert not p.le(0, 1)
+
+
+def test_equality_and_hash_follow_elements_and_relation():
+    a = build_poset([0, 1, 2], [(0, 1), (1, 2)])
+    b = FinitePoset.from_closed([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    assert a == b and hash(a) == hash(b)
+    assert a != build_poset([0, 1, 2], [(0, 1)])
+    assert a != build_poset([1, 0, 2], [(0, 1), (1, 2)])  # element order counts
+    assert len({a, b}) == 1
 
 
 def test_unknown_element_queries_raise():

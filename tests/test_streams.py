@@ -257,6 +257,40 @@ def test_validator_flags_broken_relation():
     assert any(v.kind == "RELATION" for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "leq, expected",
+    [
+        (lambda x, y: x < y, [("RELATION", "leq", (3,), "relation is not reflexive here")]),
+        (
+            lambda x, y: x // 2 <= y // 2,
+            [("RELATION", "leq", (4, 5), "relation is not antisymmetric here")],
+        ),
+        (
+            lambda x, y: y in (x, x + 1),
+            [("RELATION", "leq", (), "relation is not transitive on the prefix")],
+        ),
+        (
+            lambda x, y: abs(x - y) == 1,
+            [
+                ("RELATION", "leq", (3,), "relation is not reflexive here"),
+                ("RELATION", "leq", (3, 4), "relation is not antisymmetric here"),
+                ("RELATION", "leq", (), "relation is not transitive on the prefix"),
+            ],
+        ),
+    ],
+    ids=["strict", "pairs", "steps", "neighbours"],
+)
+def test_validator_relation_violations_pinned(leq, expected):
+    report = validate_oracles(StreamPoset(lambda st: st + 3, leq, name="broken"), 6)
+    assert [(v.kind, v.oracle, v.subject, v.detail) for v in report.violations] == expected
+
+
+def test_prefix_of_a_non_reflexive_stream_is_rejected():
+    s = StreamPoset(lambda st: st, lambda x, y: x < y, name="strict")
+    with pytest.raises(FormatError, match="not reflexive at 0"):
+        prefix(s, 3)
+
+
 def test_validator_flags_disagreeing_block_hook():
     import numpy as np
 
