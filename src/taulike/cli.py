@@ -191,7 +191,7 @@ def _make_stream(args, parser: argparse.ArgumentParser):
         variant = Kind(args.kind) if getattr(args, "kind", None) else Kind.OMEGA
         return make_fuf_gadget(_parse_sets(args.sets, parser), variant).stream()
     if family == "random":
-        n = getattr(args, "elements", None) or 8
+        n = 8 if getattr(args, "elements", None) is None else args.elements
         return stream_from_finite(random_poset(n, 0.3, args.seed))
     factory = STREAM_FAMILIES.get(family)
     if factory is None:
@@ -278,7 +278,7 @@ def _cmd_gadget(args, parser) -> dict:
     if not args.f:
         parser.error(f"gadget {args.what} needs --f")
     fspec = FunctionSpec.parse(args.f)
-    n = args.elements or 16
+    n = 16 if args.elements is None else args.elements
     if args.what == "stage":
         so = make_stage_order(fspec.values(n))
         return {
@@ -347,7 +347,15 @@ def _cmd_decode(args, parser) -> dict:
     }
 
 
+def _audit_size(args, default: int, parser: argparse.ArgumentParser) -> int:
+    """The audited prefix size; an audit of nothing certifies nothing, so 0 is refused."""
+    if args.elements == 0:
+        parser.error("--elements must be positive for an audit")
+    return default if args.elements is None else args.elements
+
+
 def _cmd_verify(args, parser) -> dict:
+    size = _audit_size(args, 50, parser)
     if getattr(args, "input", None) and getattr(args, "family", None):
         parser.error("--input and --family are mutually exclusive")
     if args.input:
@@ -357,7 +365,6 @@ def _cmd_verify(args, parser) -> dict:
         target = _make_stream(args, parser)
         name = target.name
     kinds = [Kind(args.kind)] if args.kind else list(Kind)
-    size = args.elements or 50
     reports = [check_tau_like(target, k, prefix_size=size).to_json_dict() for k in kinds]
     return {
         "schema": "taulike.verify/1",
@@ -368,8 +375,8 @@ def _cmd_verify(args, parser) -> dict:
 
 
 def _cmd_oracle(args, parser) -> dict:
-    stream = _make_stream(args, parser)
-    report = validate_oracles(stream, args.elements or 100)
+    size = _audit_size(args, 100, parser)
+    report = validate_oracles(_make_stream(args, parser), size)
     doc = report.to_json_dict()
     doc["schema"] = "taulike.oracle/1"
     return doc

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kinds import FinSide, Kind
 from .poset import FinitePoset, LinearOrder, build_poset, is_linear_extension
-from .streams import OracleBundle, StreamPoset, stream_from_finite
+from .streams import OracleBundle, StreamPoset, _bulk, stream_from_finite
 
 __all__ = [
     "FunctionSpec",
@@ -271,6 +271,9 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             else FinSide.FIN_SUCC
         )
 
+    # Only head stages are ever undercut; the sentinel stands for "never".
+    head_wit = [wit(n) for n in range(window)]
+
     def predecessors(x: int) -> list[int] | None:
         if x % 2 == 1:
             return None  # everything earlier in the chain sits above
@@ -278,24 +281,25 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         t = fspec.witness_after(n)
         if t is None:
             return None
-        early = [2 * m for m in range(n) if wit(m) <= n]
-        late = [2 * m for m in range(n, t)]
-        return early + late
+        # n is undercut, so n and every stage before it lie in the head.
+        early = [2 * m for m in range(n) if head_wit[m] <= n]
+        return early + list(range(2 * n, 2 * t, 2))
 
     def successors(x: int) -> list[int] | None:
         if x % 2 == 1:
-            return [2 * k + 1 for k in range((x - 1) // 2 + 1)]
+            return list(range(1, x + 1, 2))
         n = x // 2
         if fspec.witness_after(n) is not None:
             return None
-        return [2 * m for m in range(n + 1) if wit(m) > n]
+        # Stages past the head are never undercut, so all of them up to n lie above.
+        head = [2 * m for m in range(min(n + 1, window)) if head_wit[m] > n]
+        return head + list(range(2 * window, x + 1, 2))
 
     def interval(x: int, y: int) -> list[int] | None:
         if x % 2 != y % 2:
             return []
         if x % 2 == 1:
-            i, j = (x - 1) // 2, (y - 1) // 2
-            return [2 * k + 1 for k in range(min(i, j), max(i, j) + 1)]
+            return list(range(min(x, y), max(x, y) + 1, 2))
         if leq(x, y):
             low, high = x // 2, y // 2
         elif leq(y, x):
@@ -306,28 +310,21 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         # cofinitely many stages.
         if fspec.witness_after(low) is not None and fspec.witness_after(high) is None:
             return None
-        bound = max(low, high, window) + 1
-        return [
-            2 * p
-            for p in range(bound)
-            if leq(2 * low, 2 * p) and leq(2 * p, 2 * high)
-        ]
+        if fspec.witness_after(high) is not None:
+            # Both ends are undercut, so they and everything between lie in the head.
+            return [p for p in range(0, 2 * window, 2) if leq(2 * low, p) and leq(p, 2 * high)]
+        # Neither end is undercut: between them lie the never-undercut stages
+        # from high up to low.
+        head = [2 * p for p in range(high, min(low + 1, window)) if head_wit[p] == _NO_WITNESS]
+        return head + list(range(2 * max(high, window), 2 * low + 1, 2))
 
     # One sentinel slot past the head keeps the vector lookup total.
-    head_wit = np.array(
-        [wit(n) for n in range(window)] + [_NO_WITNESS], dtype=np.int64
-    )
+    head_wit_arr = np.array(head_wit + [_NO_WITNESS], dtype=np.int64)
 
-    def leq_block(ids: Sequence[int]) -> np.ndarray:
-        arr = np.asarray(list(ids), dtype=np.int64)
-        idx = arr // 2
-        even = arr % 2 == 0
-        w = np.where(
-            even & (idx < window), head_wit[np.minimum(idx, window)], _NO_WITNESS
-        )
-        ni, nj = idx[:, None], idx[None, :]
-        wi, wj = w[:, None], w[None, :]
-        ei, ej = even[:, None], even[None, :]
+    def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ni, nj, ei, ej = a // 2, b // 2, a % 2 == 0, b % 2 == 0
+        wi = np.where(ei & (ni < window), head_wit_arr[np.minimum(ni, window)], _NO_WITNESS)
+        wj = np.where(ej & (nj < window), head_wit_arr[np.minimum(nj, window)], _NO_WITNESS)
         a_rel = ((ni < nj) & (wi <= nj)) | ((ni >= nj) & (wj > ni))
         b_rel = ni >= nj
         return np.where(ei & ej, a_rel, np.where(~ei & ~ej, b_rel, False))
@@ -342,7 +339,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             side=side,
         ),
         name=f"range-gadget({fspec.describe()})",
-        leq_block=leq_block,
+        leq_block=_bulk(rel),
     )
     return RangeGadget(fspec, stream)
 
@@ -443,10 +440,14 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
             return [x]
         m = x // 2
         out: list[int] = []
-        # f(n) <= m forces n < max(window, m + 1): past the head f(n) = n.
-        for n in range(max(window, m + 1)):
+        for n in range(window):
             if fspec.value(n) <= m:
                 out.extend(range(_fan_id(n, 0), _fan_id(n, n) + 1, 2))
+        # Past the head f(n) = n + gap, so the stages window..m - gap all
+        # qualify, and their fans are consecutive odd ids.
+        last = m - fspec.gap
+        if last >= window:
+            out.extend(range(_fan_id(window, 0), _fan_id(last, last) + 1, 2))
         return out
 
     def successors(x: int) -> list[int] | None:
@@ -465,17 +466,17 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
         [fspec.value(n) for n in range(window)] + [0], dtype=np.int64
     )
 
-    def leq_block(ids: Sequence[int]) -> np.ndarray:
-        arr = np.asarray(list(ids), dtype=np.int64)
-        even = arr % 2 == 0
-        tops = arr // 2
+    def fan_value(arr: np.ndarray) -> np.ndarray:
+        """f(n) for the stage n of each (odd) fan id."""
         k = np.maximum(arr - 1, 0) // 2
         n = ((np.sqrt(8.0 * k + 1.0) - 1.0) / 2.0).astype(np.int64)
         n = np.where((n + 1) * (n + 2) // 2 <= k, n + 1, n)
         n = np.where(n * (n + 1) // 2 > k, n - 1, n)
-        fv = np.where(n < window, head_vals[np.minimum(n, window)], n + fspec.gap)
-        rel = (~even[:, None]) & even[None, :] & (fv[:, None] <= tops[None, :])
-        return rel | (arr[:, None] == arr[None, :])
+        return np.where(n < window, head_vals[np.minimum(n, window)], n + fspec.gap)
+
+    def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        fan_below_top = (a % 2 == 1) & (b % 2 == 0) & (fan_value(a) <= b // 2)
+        return fan_below_top | (a == b)
 
     stream = StreamPoset(
         lambda s: s,
@@ -487,7 +488,7 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
             side=lambda x: FinSide.FIN_PRED,
         ),
         name=f"embed-gadget({fspec.describe()})",
-        leq_block=leq_block,
+        leq_block=_bulk(rel),
     )
     return EmbedGadget(fspec, stream)
 

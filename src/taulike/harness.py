@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FormatError, TooLarge, UnknownIdError
 from .kinds import FinSide, Kind
 from .poset import FinitePoset, build_poset
-from .streams import OracleBundle, StreamPoset, check_listing, read_side, take
+from .streams import OracleBundle, PrefixAudit, StreamPoset, read_side, take
 
 __all__ = [
     "ExtensionSet",
@@ -147,7 +147,9 @@ def check_tau_like(
     its kind relies on (predecessors for omega, successors for omega-star,
     the side-chosen cone for omega-omega-star, ``interval(ids[0], x)`` for
     zeta); every answer must be defined and pass :func:`check_listing`
-    against the prefix relation, and its size goes into the counts.
+    against the prefix relation, and its size goes into the counts.  A
+    :class:`PrefixAudit` screens the answers in bulk and spot-checks the
+    stream's bulk hook; a disagreement with ``leq`` is the first note.
     """
     if isinstance(target, FinitePoset):
         # counts are strict: the element itself never witnesses its own bound
@@ -173,46 +175,47 @@ def check_tau_like(
     if not ids:
         return TauReport(kind=kind, ok=True, scope="prefix", counts={}, notes=[])
     bundle = target.oracles or OracleBundle()
-    leq = target.leq
-    m = target.relation_matrix(ids)
-    id_set = set(ids)
+    audit = PrefixAudit(target, ids)
     first = ids[0]
     counts = {}
-    notes: list[str] = []
-    for i, x in enumerate(ids):
-        if kind is Kind.ZETA:
-            name, fn, args, exempt = "interval", bundle.interval, (first, x), set()
-            truth_row = (m[0, :] & m[:, i]) | (m[i, :] & m[:, 0])
-            compare = lambda z, x=x: (leq(first, z) and leq(z, x)) or (leq(x, z) and leq(z, first))
-        else:
+    notes: list[str | None] = [None] * len(ids)
+
+    def queries():
+        for i, x in enumerate(ids):
+            if kind is Kind.ZETA:
+                fn = bundle.interval
+                yield "interval", 0, i, fn(first, x) if fn else None
+                continue
             if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
                 try:
                     tag = read_side(bundle.side(x), x) if bundle.side else None
                 except FormatError as exc:
-                    notes.append(str(exc))
+                    notes[i] = str(exc)
                     continue
                 if tag is None:
-                    notes.append(f"element {x} has no side answer")
+                    notes[i] = f"element {x} has no side answer"
                     continue
                 below = tag is FinSide.FIN_PRED
             else:
                 below = kind is Kind.OMEGA
             name = "predecessors" if below else "successors"
-            fn, args, exempt = getattr(bundle, name), (x,), {x}
-            truth_row = m[:, i] if below else m[i, :]
-            compare = (lambda y, x=x: leq(y, x)) if below else (lambda y, x=x: leq(x, y))
-        ans = fn(*args) if fn else None
+            fn = getattr(bundle, name)
+            yield name, i, i, fn(x) if fn else None
+
+    for (name, _, j, ans), found in audit.screen(queries()):
+        x = ids[j]
         if ans is None:
-            notes.append(f"element {x} has no finite answer for {kind.value}")
+            notes[j] = f"element {x} has no finite answer for {kind.value}"
             continue
-        ans = list(ans)
-        counts[x] = len(set(ans) - {x})
-        truth = {ids[j] for j in np.nonzero(truth_row)[0]}
-        found = check_listing(name, x, ans, truth, compare, id_set, exempt)
+        # An answer that passed lists nothing twice.
+        counts[x] = len(set(ans) - {x}) if found else len(ans) - (x in ans)
         if found:
             v = found[0]
             more = f" and {len(found) - 1} more" if len(found) > 1 else ""
-            notes.append(f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}")
+            notes[j] = f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}"
+    notes = [note for note in notes if note is not None]
+    if audit.hook_fault is not None:
+        notes.insert(0, f"leq_block disagrees with leq on {audit.hook_fault.subject}")
     return TauReport(kind=kind, ok=not notes, scope="prefix", counts=counts, notes=notes)
 
 

@@ -356,11 +356,10 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
             f"elements {sorted(clash)[:4]} were emitted on both sides"
         )
     # Downward-closure check: nothing classified FIN_SUCC may sit below
-    # anything classified FIN_PRED.  Without a bulk hook the matrix falls
+    # anything classified FIN_PRED.  Without a bulk hook the rectangle falls
     # back to pairwise leq, so every pair is checked either way.
     if emitted_low and emitted_high:
-        n0 = len(emitted_low)
-        cross = stream.relation_matrix(emitted_low + emitted_high)[n0:, :n0]
+        cross = stream.relation_matrix(emitted_high, emitted_low)
         if cross.any():
             i, j = np.argwhere(cross)[0]
             raise ClassifierInconsistent(

@@ -9,9 +9,10 @@ is not finite.  :func:`validate_oracles` cross-checks every promise against
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,8 +70,13 @@ class StreamPoset:
 
     ``element_at`` must be injective and raise :class:`FiniteDomainEnd` past
     the end of a finite domain; ``size=None`` declares an unbounded stream.
-    ``leq_block`` is an optional bulk hook returning the boolean relation
-    matrix for a list of ids; it must agree with ``leq`` pointwise.
+    ``leq_block`` is an optional bulk hook: ``leq_block(rows)`` returns the
+    square boolean relation matrix on a list of ids and, when the hook has a
+    ``cols`` parameter, ``leq_block(rows, cols)`` returns the rectangle whose
+    cell (i, j) says ``rows[i] <= cols[j]``.  Without one, rectangles fall
+    back to ``leq``.  Every cell must agree with ``leq``; the oracle auditors
+    spot-check that, and decide the ids an oracle answer lists outside the
+    audited prefix with one rectangle per answer.
     """
 
     def __init__(
@@ -81,7 +87,7 @@ class StreamPoset:
         oracles: OracleBundle | None = None,
         size: int | None = None,
         name: str = "stream",
-        leq_block: Callable[[Sequence[int]], np.ndarray] | None = None,
+        leq_block: Callable[..., np.ndarray] | None = None,
     ):
         self._element_at = element_at
         self._leq = leq
@@ -89,6 +95,7 @@ class StreamPoset:
         self.size = size
         self.name = name
         self._leq_block = leq_block
+        self._leq_rect = leq_block if _takes_cols(leq_block) else None
         self._cache: list[int] = []
         self._seen: set[int] = set()
 
@@ -113,21 +120,42 @@ class StreamPoset:
     def leq(self, x: int, y: int) -> bool:
         return bool(self._leq(x, y))
 
-    def relation_matrix(self, ids: Sequence[int]) -> np.ndarray:
-        if self._leq_block is not None:
-            m = np.asarray(self._leq_block(ids), dtype=bool)
-            if m.shape != (len(ids), len(ids)):
+    def relation_matrix(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
+        """Cell (i, j) says ``rows[i] <= cols[j]``; ``cols`` defaults to ``rows``."""
+        hook = self._leq_block if cols is None else self._leq_rect
+        shape = (len(rows), len(rows) if cols is None else len(cols))
+        if hook is not None:
+            m = np.asarray(hook(rows) if cols is None else hook(rows, cols), dtype=bool)
+            if m.shape != shape:
                 raise FormatError("leq_block returned a wrongly shaped matrix")
             return m
-        n = len(ids)
-        m = np.zeros((n, n), dtype=bool)
+        m = np.zeros(shape, dtype=bool)
         leq = self._leq
-        for i, x in enumerate(ids):
+        for i, x in enumerate(rows):
             row = m[i]
-            for j, y in enumerate(ids):
+            for j, y in enumerate(rows if cols is None else cols):
                 if leq(x, y):
                     row[j] = True
         return m
+
+
+def _takes_cols(hook) -> bool:
+    """Does a ``leq_block`` hook have a ``cols`` parameter?"""
+    try:
+        return hook is not None and "cols" in inspect.signature(hook).parameters
+    except (TypeError, ValueError):  # no signature to read
+        return False
+
+
+def _bulk(rel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """A two-list ``leq_block`` hook from a vectorised comparison of id arrays."""
+
+    def hook(rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
+        r = np.asarray(rows, dtype=np.int64)
+        c = r if cols is None else np.asarray(cols, dtype=np.int64)
+        return rel(r[:, None], c[None, :])
+
+    return hook
 
 
 def take(stream: StreamPoset, count: int) -> list[int]:
@@ -226,6 +254,11 @@ _FULL_CHECK_ELEMENTS = 300  # above this, per-element checks are sampled
 _FULL_CHECK_INTERVAL = 120  # above this, interval pairs are sampled
 _ANSWER_SOUND_CAP = 2000  # listed members verified per answer before sampling
 _MAX_RECORDED = 50  # violations recorded per oracle before truncating
+_CHUNK_IDS = 1 << 13  # listed ids screened together; bounds what a chunk holds
+_CHUNK_CELLS = 1 << 16  # truth-matrix cells screened together
+_SPOT_CELLS = 256  # bulk-hook cells compared with leq on the prefix square
+_SPOT_RECT_CELLS = 4  # ... and on each rectangle an audit asks for
+_NO_IDS = np.zeros(0, dtype=np.int64)
 _RELATION_FAULTS = {
     "reflexive": "relation is not reflexive here",
     "antisymmetric": "relation is not antisymmetric here",
@@ -296,13 +329,181 @@ def check_listing(
     return found
 
 
+def _id_array(ans: list) -> np.ndarray | None:
+    """The answer as an int64 array, or None when some entry is not an int."""
+    if not ans:
+        return _NO_IDS
+    try:
+        a = np.asarray(ans)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return a.astype(np.int64, copy=False) if a.ndim == 1 and a.dtype.kind == "i" else None
+
+
+class PrefixAudit:
+    """Oracle answers checked against the relation on a prefix, in bulk.
+
+    :meth:`screen` takes ``(name, i, j, answer)`` queries, where ``name`` is
+    ``predecessors`` or ``successors`` of ``ids[i]`` or ``interval`` of
+    ``ids[i]`` and ``ids[j]``, and clears them a chunk at a time: listed ids
+    are found in the prefix by ``searchsorted``, soundness is read off the
+    truth rows and completeness is ``truth & ~hit``.  The sampled ids an
+    answer lists outside the prefix are decided by one rectangular
+    ``relation_matrix`` per answer.  Only answers that may be faulty go
+    through :func:`check_listing`, so violations read as if every answer
+    had.  Wherever the stream's bulk hook built a matrix, sampled cells are
+    compared with ``leq``; the first disagreement is kept in ``hook_fault``.
+    """
+
+    def __init__(self, stream: StreamPoset, ids: list[int]):
+        self.stream, self.ids, self.id_set = stream, ids, set(ids)
+        self.m = stream.relation_matrix(ids)
+        self.mt = np.ascontiguousarray(self.m.T)
+        arr = np.asarray(ids, dtype=np.int64)
+        self.order = np.argsort(arr).astype(np.int32)
+        self.sorted = arr[self.order]
+        self.rng = random.Random(len(ids) * 7919 + 13)
+        self.hook_fault: Violation | None = None
+        if stream._leq_block is not None:
+            self._spot_check(ids, ids, self.m, _SPOT_CELLS)
+
+    def _spot_check(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray, cells: int) -> None:
+        if self.hook_fault is not None:
+            return
+        for _ in range(min(cells, block.size)):
+            i, j = self.rng.randrange(len(rows)), self.rng.randrange(len(cols))
+            if bool(block[i, j]) != self.stream.leq(rows[i], cols[j]):
+                self.hook_fault = Violation(
+                    "RELATION", "leq", (rows[i], cols[j]), "leq_block disagrees with leq"
+                )
+                return
+
+    def _rect(self, rows: list[int], cols: list[int]) -> np.ndarray:
+        block = self.stream.relation_matrix(rows, cols)
+        if self.stream._leq_rect is not None:
+            self._spot_check(rows, cols, block, _SPOT_RECT_CELLS)
+        return block
+
+    def _truth(self, names: list[str], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Per query, which prefix positions a complete answer lists."""
+        rows = self.m[i]
+        pred = np.array([name == "predecessors" for name in names], dtype=bool)
+        rows[pred] = self.mt[i[pred]]
+        iv = np.array([name == "interval" for name in names], dtype=bool)
+        if iv.any():
+            a, b = i[iv], j[iv]
+            rows[iv] = (self.m[a] & self.mt[b]) | (self.m[b] & self.mt[a])
+        return rows
+
+    def screen(self, queries: Iterable[tuple]) -> Iterator[tuple[tuple, list[Violation] | None]]:
+        """Yield ``(query, violations)`` per query in order, ``None`` for an undefined answer.
+
+        Answers are listed as they arrive and checked once a chunk holds
+        ``_CHUNK_IDS`` listed ids or ``_CHUNK_CELLS`` truth cells.
+        """
+        rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
+        batch: list[tuple] = []
+        listed = 0
+        for name, i, j, ans in queries:
+            ans = None if ans is None else list(ans)
+            batch.append((name, i, j, ans))
+            listed += len(ans) if ans is not None else 0
+            if listed >= _CHUNK_IDS or len(batch) >= rows_cap:
+                yield from self._flush(batch)
+                batch, listed = [], 0
+        yield from self._flush(batch)
+
+    def _flush(self, batch: list[tuple]):
+        suspect = iter(self._suspects([q for q in batch if q[3] is not None]))
+        for q in batch:
+            if q[3] is None:
+                yield q, None
+            else:
+                yield q, self._check(*q) if next(suspect) else []
+
+    def _suspects(self, qs: list[tuple]) -> np.ndarray:
+        """Which answers might fail :func:`check_listing`; the rest pass it."""
+        n, k = len(self.ids), len(qs)
+        flag = np.zeros(k, dtype=bool)
+        if not k:
+            return flag
+        names = [q[0] for q in qs]
+        i = np.array([q[1] for q in qs], dtype=np.int64)
+        j = np.array([q[2] for q in qs], dtype=np.int64)
+        arrays = [_id_array(q[3]) for q in qs]
+        for r, a in enumerate(arrays):
+            if a is None:
+                flag[r], arrays[r] = True, _NO_IDS
+        lens = np.array([len(a) for a in arrays], dtype=np.int64)
+        flat = np.concatenate(arrays)
+        del arrays
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        seg = np.repeat(np.arange(k, dtype=np.int32), lens)
+        flag[seg[flat < 0]] = True
+        # A repeated id: only answers that do not strictly increase are sorted.
+        rough = np.zeros(k, dtype=bool)
+        rough[seg[1:][(flat[1:] <= flat[:-1]) & (seg[1:] == seg[:-1])]] = True
+        if rough.any():
+            keep = rough[seg]
+            fs, ss = flat[keep], seg[keep]
+            o = np.lexsort((fs, ss))
+            fs, ss = fs[o], ss[o]
+            flag[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
+        pos = np.searchsorted(self.sorted, flat)
+        np.minimum(pos, n - 1, out=pos)
+        inside = self.sorted[pos] == flat
+        si, ci = seg[inside], self.order[pos[inside]]
+        del pos
+        truth = self._truth(names, i, j)
+        # Completeness; a cone answer may leave out its subject.
+        hit = np.zeros((k, n), dtype=bool)
+        hit[si, ci] = True
+        cone = np.array([name != "interval" for name in names], dtype=bool)
+        hit[cone, i[cone]] = True
+        flag |= (truth & ~hit).any(axis=1)
+        # Soundness of the listed ids check_listing samples.
+        sampled = np.ones(len(flat), dtype=bool)
+        for r in np.flatnonzero(lens > _ANSWER_SOUND_CAP):
+            sampled[starts[r] : ends[r]] = False
+            sampled[starts[r] : ends[r] : lens[r] // _ANSWER_SOUND_CAP] = True
+        flag[si[~truth[si, ci] & sampled[inside]]] = True
+        out = np.flatnonzero(sampled & ~inside & ~flag[seg])
+        for part in np.split(out, np.flatnonzero(np.diff(seg[out])) + 1) if len(out) else ():
+            r = seg[part[0]]
+            flag[r] = not self._sound_outside(names[r], i[r], j[r], flat[part].tolist()).all()
+        return flag
+
+    def _sound_outside(self, name: str, i: int, j: int, zs: list[int]) -> np.ndarray:
+        x = self.ids[i]
+        if name == "predecessors":
+            return self._rect(zs, [x])[:, 0]
+        if name == "successors":
+            return self._rect([x], zs)[0]
+        y = self.ids[j]
+        up, down = self._rect([x, y], zs), self._rect(zs, [x, y])
+        return (up[0] & down[:, 1]) | (up[1] & down[:, 0])
+
+    def _check(self, name: str, i: int, j: int, ans: list) -> list[Violation]:
+        ids, leq = self.ids, self.stream.leq
+        x = ids[i]
+        row = self._truth([name], np.array([i]), np.array([j]))[0]
+        truth = {ids[k] for k in np.nonzero(row)[0]}
+        if name == "interval":
+            y = ids[j]
+            compare = lambda z: (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))  # noqa: E731
+            return check_listing(name, x, ans, truth, compare, self.id_set)
+        compare = (lambda z: leq(z, x)) if name == "predecessors" else (lambda z: leq(x, z))
+        return check_listing(name, x, ans, truth, compare, self.id_set, exempt={x})
+
+
 def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
     """Check every provided oracle against ``leq`` over the first ``s`` elements.
 
     Answers are checked for soundness (every listed element really satisfies
     the defining comparison) and prefix-completeness (nothing inside the
-    prefix is missed).  Large prefixes are sampled deterministically; the
-    ``checked`` counters say how much was examined.
+    prefix is missed) by a :class:`PrefixAudit`.  Large prefixes are sampled
+    deterministically; the ``checked`` counters say how much was examined.
     """
     ids = take(stream, s)
     n = len(ids)
@@ -311,26 +512,13 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         report.not_present = ["predecessors", "successors", "interval", "side"]
         return report
 
-    m = stream.relation_matrix(ids)
-
-    # The bulk hook is an optimization, not an authority: spot-check it.
-    if stream._leq_block is not None:
-        rng = random.Random(n * 7919 + 13)
-        for _ in range(min(256, n * n)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if bool(m[i, j]) != stream.leq(ids[i], ids[j]):
-                report.violations.append(
-                    Violation(
-                        "RELATION",
-                        "leq",
-                        (ids[i], ids[j]),
-                        "leq_block disagrees with leq",
-                    )
-                )
-                break
+    # The bulk hook is an optimization, not an authority: the audit spot-checks it.
+    audit = PrefixAudit(stream, ids)
+    if audit.hook_fault is not None:
+        report.violations.append(audit.hook_fault)
 
     # The relation itself must restrict to a partial order on the prefix.
-    for axiom, at in order_axiom_faults(m).items():
+    for axiom, at in order_axiom_faults(audit.m).items():
         subject = () if axiom == "transitive" else tuple(ids[i] for i in at)
         report.violations.append(Violation("RELATION", "leq", subject, _RELATION_FAULTS[axiom]))
 
@@ -343,25 +531,19 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         if getattr(bundle, name) is None:
             report.not_present.append(name)
 
-    id_set = set(ids)
     picked = _sample_indices(n, _FULL_CHECK_ELEMENTS, seed=s * 31 + 7)
 
-    # Predecessors read a column of the relation, successors a row.
-    for name, rel, below in (("predecessors", m.T, True), ("successors", m, False)):
+    for name in ("predecessors", "successors"):
         fn = getattr(bundle, name)
         if fn is None:
             continue
         count = 0
         und = 0
-        for i in picked:
-            x = ids[i]
-            ans = fn(x)
-            if ans is None:
+        for _, found in audit.screen((name, i, i, fn(ids[i])) for i in picked):
+            if found is None:
                 und += 1
                 continue
-            truth = {ids[j] for j in np.nonzero(rel[i])[0]}
-            compare = (lambda y, x=x: stream.leq(y, x)) if below else (lambda y, x=x: stream.leq(x, y))
-            report.violations += check_listing(name, x, list(ans), truth, compare, id_set, exempt={x})
+            report.violations += found
             count += 1
         report.checked[name] = count
         report.undefined[name] = und
@@ -377,23 +559,12 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
                 pairs.append((rng.randrange(n), rng.randrange(n)))
         count = 0
         und = 0
-        for i, j in pairs:
-            x, y = ids[i], ids[j]
-            ans = bundle.interval(x, y)
-            if ans is None:
+        queries = (("interval", i, j, bundle.interval(ids[i], ids[j])) for i, j in pairs)
+        for _, found in audit.screen(queries):
+            if found is None:
                 und += 1
                 continue
-            between = (m[i, :] & m[:, j]) | (m[j, :] & m[:, i])
-            truth = {ids[k] for k in np.nonzero(between)[0]}
-            report.violations += check_listing(
-                "interval",
-                x,
-                list(ans),
-                truth,
-                lambda z, x=x, y=y: (stream.leq(x, z) and stream.leq(z, y))
-                or (stream.leq(y, z) and stream.leq(z, x)),
-                id_set,
-            )
+            report.violations += found
             count += 1
             if len(report.violations) >= 4 * _MAX_RECORDED:
                 break
@@ -428,6 +599,9 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         report.checked["side"] = count
         report.undefined["side"] = und
 
+    # A rectangle the screen asked for can catch the hook too.
+    if audit.hook_fault is not None and audit.hook_fault not in report.violations:
+        report.violations.append(audit.hook_fault)
     return report
 
 
@@ -443,6 +617,11 @@ def zigzag_decode(code: int) -> int:
     return code // 2 if code % 2 == 0 else -(code + 1) // 2
 
 
+def _unzig(codes: np.ndarray) -> np.ndarray:
+    """:func:`zigzag_decode` over an array of ids."""
+    return np.where(codes % 2 == 0, codes // 2, -(codes + 1) // 2)
+
+
 def omega_stream() -> StreamPoset:
     """The naturals with their usual order; every lower cone is finite."""
     bundle = OracleBundle(
@@ -456,7 +635,7 @@ def omega_stream() -> StreamPoset:
         lambda x, y: x <= y,
         oracles=bundle,
         name="omega",
-        leq_block=lambda ids: np.asarray(ids)[:, None] <= np.asarray(ids)[None, :],
+        leq_block=_bulk(lambda a, b: a <= b),
     )
 
 
@@ -473,7 +652,7 @@ def omega_star_stream() -> StreamPoset:
         lambda x, y: x >= y,
         oracles=bundle,
         name="omega-star",
-        leq_block=lambda ids: np.asarray(ids)[:, None] >= np.asarray(ids)[None, :],
+        leq_block=_bulk(lambda a, b: a >= b),
     )
 
 
@@ -505,16 +684,12 @@ def zeta_stream(variant: int = 0) -> StreamPoset:
         a, b = sorted((zigzag_decode(x), zigzag_decode(y)))
         return [zigzag_encode(v) for v in range(a, b + 1)]
 
-    def block(ids: Sequence[int]) -> np.ndarray:
-        vals = np.asarray([zigzag_decode(x) for x in ids])
-        return vals[:, None] <= vals[None, :]
-
     return StreamPoset(
         lambda s: zigzag_encode(_zeta_stage_value(variant, s)),
         lambda x, y: zigzag_decode(x) <= zigzag_decode(y),
         oracles=OracleBundle(interval=interval),
         name=f"zeta.{variant}",
-        leq_block=block,
+        leq_block=_bulk(lambda a, b: _unzig(a) <= _unzig(b)),
     )
 
 
@@ -531,7 +706,7 @@ def antichain_stream() -> StreamPoset:
         lambda x, y: x == y,
         oracles=bundle,
         name="antichain",
-        leq_block=lambda ids: np.eye(len(ids), dtype=bool),
+        leq_block=_bulk(lambda a, b: a == b),
     )
 
 
@@ -555,13 +730,9 @@ def omega_plus_omega_star_stream() -> StreamPoset:
             return list(range(lo, hi + 1, 2))
         return None  # between the two chains lies an infinite set
 
-    def block(ids: Sequence[int]) -> np.ndarray:
-        a = np.asarray(ids)
-        ev = a % 2 == 0
-        le = a[:, None] <= a[None, :]
-        ge = a[:, None] >= a[None, :]
-        evx, evy = ev[:, None], ev[None, :]
-        return (evx & evy & le) | (evx & ~evy) | (~evx & ~evy & ge)
+    def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ea, eb = a % 2 == 0, b % 2 == 0
+        return (ea & eb & (a <= b)) | (ea & ~eb) | (~ea & ~eb & (a >= b))
 
     return StreamPoset(
         lambda s: s,
@@ -573,7 +744,7 @@ def omega_plus_omega_star_stream() -> StreamPoset:
             side=lambda x: FinSide.FIN_PRED if x % 2 == 0 else FinSide.FIN_SUCC,
         ),
         name="omega-omega-star",
-        leq_block=block,
+        leq_block=_bulk(block),
     )
 
 
@@ -589,11 +760,9 @@ def stream_from_finite(
     """
     elems = poset.elements
     side_fn = side if callable(side) or side is None else (lambda x, _tag=side: _tag)
-    idx = poset._index
-
-    def block(ids: Sequence[int]) -> np.ndarray:
-        rows = [idx[x] for x in ids]
-        return poset.matrix[np.ix_(rows, rows)]
+    def block(rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
+        r = [poset._at(x) for x in rows]
+        return poset.matrix[np.ix_(r, r if cols is None else [poset._at(y) for y in cols])]
 
     return StreamPoset(
         lambda s: elems[s],  # the size guard fires before the index can overrun

@@ -135,3 +135,94 @@ def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None):
         pivots.append(p)
     anchor = order.index(blocks[0][0]) if blocks else None
     return blocks, order, anchor
+
+
+def listing_faults(oracle, x, ans, truth, compare, prefix, exempt=(), cap=50, sound_cap=2000):
+    """The rule one oracle answer about ``x`` must pass, restated.
+
+    ``truth`` holds the prefix ids the answer owes, ``prefix`` all prefix
+    ids; a listed id outside the prefix is decided by ``compare``.  A
+    repeated id is the only fault reported; otherwise every listed id (every
+    ``len // sound_cap``-th one in a longer answer) must pass, and every owed
+    id but the ``exempt`` ones must be listed.  At most ``cap`` faults, as
+    ``(kind, oracle, subject, detail)``.
+    """
+    ans = list(ans)
+    seen = set()
+    for y in ans:
+        if y in seen:
+            return [("UNSOUND", oracle, (x, y), "answer lists an element twice")]
+        seen.add(y)
+    found = []
+    step = max(1, len(ans) // sound_cap) if len(ans) > sound_cap else 1
+    for y in ans[::step]:
+        if not (y in truth if y in prefix else compare(y)):
+            found.append(("UNSOUND", oracle, (x, y), "listed element fails the comparison"))
+            if len(found) >= cap:
+                return found
+    for y in truth - seen - set(exempt):
+        found.append(("INCOMPLETE", oracle, (x, y), "in-prefix element is missing"))
+        if len(found) >= cap:
+            return found
+    return found
+
+
+def listing_rule(ids, leq, name, i, j):
+    """Owed prefix ids, comparison and exempt ids for one query, by definition:
+    the predecessors or successors of ``ids[i]``, or the interval between
+    ``ids[i]`` and ``ids[j]``."""
+    x, y = ids[i], ids[j]
+    if name == "predecessors":
+        return {z for z in ids if leq(z, x)}, (lambda z: leq(z, x)), {x}
+    if name == "successors":
+        return {z for z in ids if leq(x, z)}, (lambda z: leq(x, z)), {x}
+
+    def between(z):
+        return (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))
+
+    return {z for z in ids if between(z)}, between, set()
+
+
+def audit_each_answer(ids, leq, queries, stop=200):
+    """Check ``(name, i, j, answer)`` queries one at a time, in order.
+
+    Returns ``(faults, checked, undefined)``.  An undefined answer is
+    ``None``.  Interval checking ends after the answer that brings the
+    fault count to ``stop``.
+    """
+    faults, checked, undefined = [], {}, {}
+    prefix = set(ids)
+    for name, i, j, ans in queries:
+        checked.setdefault(name, 0)
+        undefined.setdefault(name, 0)
+        if ans is None:
+            undefined[name] += 1
+            continue
+        truth, compare, exempt = listing_rule(ids, leq, name, i, j)
+        faults += listing_faults(name, ids[i], ans, truth, compare, prefix, exempt)
+        checked[name] += 1
+        if name == "interval" and len(faults) >= stop:
+            break
+    return faults, checked, undefined
+
+
+def tau_each_answer(ids, leq, kind, answer):
+    """``check_tau_like``'s counts and notes for an omega, omega-star or zeta
+    promise, each element's answer checked alone; ``answer(x)`` is the raw
+    oracle answer (``None`` when undefined)."""
+    name = {"omega": "predecessors", "omega-star": "successors", "zeta": "interval"}[kind]
+    counts, notes = {}, []
+    for i, x in enumerate(ids):
+        ans = answer(x)
+        if ans is None:
+            notes.append(f"element {x} has no finite answer for {kind}")
+            continue
+        ans = list(ans)
+        counts[x] = len(set(ans) - {x})
+        truth, compare, exempt = listing_rule(ids, leq, name, 0 if kind == "zeta" else i, i)
+        found = listing_faults(name, x, ans, truth, compare, set(ids), exempt)
+        if found:
+            fault, _, subject, detail = found[0]
+            more = f" and {len(found) - 1} more" if len(found) > 1 else ""
+            notes.append(f"{fault.lower()} {name} answer for {x}: {detail} ({subject[1]}){more}")
+    return counts, notes

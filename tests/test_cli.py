@@ -191,6 +191,15 @@ def test_gadget_stage_payload():
     assert got["ascending"] == [0, 2, 1]
 
 
+@pytest.mark.parametrize("what", ["stage", "range", "embed"])
+def test_gadget_zero_elements_prints_the_empty_prefix(what):
+    got = run_cli("gadget", what, "--f", "swap:2", "--elements", "0")
+    if what == "stage":
+        assert got["values"] == got["witness"] == got["ascending"] == []
+    else:
+        assert got["prefix"]["elements"] == got["prefix"]["relation"] == []
+
+
 def test_decode_false_stages_end_to_end():
     got = run_cli("decode", "false-stages", "--f", "swap:2", "--horizon", "60")
     assert got["stages"] == got["ground_truth"] == [0, 2]
@@ -260,6 +269,9 @@ def test_usage_errors_exit_two():
     run_cli("gadget", "range", "--f", "identity", "--elements", "-2", expect=2)
     run_cli("decode", "false-stages", "--f", "identity", "--horizon", "-1", expect=2)
     run_cli("decode", "range", "--f", "identity", "--elements", "-1", expect=2)
+    # an audit of an empty prefix certifies nothing
+    run_cli("verify", "--family", "omega", "--elements", "0", expect=2)
+    run_cli("oracle", "--family", "omega", "--elements", "0", expect=2)
 
 
 def test_input_and_family_conflict(tmp_path):

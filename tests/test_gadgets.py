@@ -256,6 +256,60 @@ def test_range_gadget_oracles_validate(text):
     assert report.ok, report.to_json_dict()
 
 
+ORACLE_SPECS = [
+    "identity", "swap:3", "perm:4,3,2,1,0", "perm:1,0,2;gap:5",
+    "perm:2,5,1,7,0,4,3,6;gap:2", "perm:3,0,5,1,7,2,4,6,9,8",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_range_gadget_oracles_match_their_definitions(text):
+    f = FunctionSpec.parse(text)
+    bound = 101 + f.window  # past every stage an answer about ids below 201 can list
+    values = f.values(bound)
+    le = {(n, m): brute.stage_leq(values, n, m) for n in range(bound) for m in range(bound)}
+    undercut = [brute.stage_false(values, n) for n in range(bound)]
+    oracles = make_range_gadget(f).stream.oracles
+
+    def stages(keep):
+        return [2 * p for p in range(bound) if keep(p)]
+
+    for x in range(201):
+        n = x // 2
+        if x % 2:
+            assert oracles.predecessors(x) is None
+            assert oracles.successors(x) == list(range(1, x + 1, 2))
+        else:
+            assert oracles.predecessors(x) == (stages(lambda p: le[p, n]) if undercut[n] else None), x
+            assert oracles.successors(x) == (None if undercut[n] else stages(lambda p: le[n, p])), x
+    for x in range(201):
+        for y in range(201):
+            got = oracles.interval(x, y)
+            a, b = x // 2, y // 2
+            if x % 2 != y % 2:
+                assert got == []
+            elif x % 2:
+                assert got == list(range(min(x, y), max(x, y) + 1, 2))
+            elif not (le[a, b] or le[b, a]):
+                assert got == []
+            else:
+                low, high = (a, b) if le[a, b] else (b, a)
+                if undercut[low] and not undercut[high]:
+                    assert got is None
+                else:
+                    assert got == stages(lambda p: le[low, p] and le[p, high]), (x, y)
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_embed_gadget_predecessors_match_their_definition(text):
+    f = FunctionSpec.parse(text)
+    values = f.values(101 + f.window)
+    oracles = make_embed_gadget(f).stream.oracles
+    for m in range(101):
+        fans = [EmbedGadget.fan_id(n, j) for n, v in enumerate(values) if v <= m for j in range(n + 1)]
+        assert oracles.predecessors(EmbedGadget.top_id(m)) == fans, m
+
+
 def test_range_gadget_rejects_non_injective():
     with pytest.raises(NotInjective):
         make_range_gadget(FunctionSpec((0, 0, 1)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,21 @@ def test_report_names_unsound_oracle():
     report = check_tau_like(s, Kind.OMEGA, prefix_size=10)
     assert not report.ok
     assert any("unsound" in note for note in report.notes)
+
+
+def test_report_spot_checks_the_bulk_hook():
+    # Every answer lists the whole prefix.  An all-True hook makes that look
+    # sound and complete; leq says most of it is unsound.
+    s = StreamPoset(
+        lambda st: st,
+        lambda x, y: x <= y,
+        oracles=OracleBundle(predecessors=lambda x: list(range(50))),
+        leq_block=lambda rows, cols=None: np.ones((len(rows), len(rows if cols is None else cols)), dtype=bool),
+        name="all-true",
+    )
+    report = check_tau_like(s, Kind.OMEGA, prefix_size=50)
+    assert not report.ok
+    assert len(report.notes) == 1 and report.notes[0].startswith("leq_block disagrees with leq on (")
 
 
 def test_report_missing_oracle_not_ok():

@@ -405,11 +405,18 @@ def test_split_cross_check_is_complete_without_bulk_hook():
     # the cone oracles hide it, so only the cross-check can see it.  The dual
     # run emits FIN_SUCC elements in reverse, which puts u last, past the
     # first 400_000 // len(low) of them that a pairwise cap would reach.
+    # The check reads the high x low rectangle and nothing more.
     low, high = 633, 640
     u, v = low, 0
+    calls = []
+
+    def leq(x, y):
+        calls.append((x, y))
+        return x == y or (x, y) == (u, v)
+
     s = StreamPoset(
         lambda st: st,
-        lambda x, y: x == y or (x, y) == (u, v),
+        leq,
         oracles=OracleBundle(
             predecessors=lambda x: [x],
             successors=lambda x: [x],
@@ -421,6 +428,9 @@ def test_split_cross_check_is_complete_without_bulk_hook():
     assert s._leq_block is None and high - 1 >= 400_000 // low
     with pytest.raises(ClassifierInconsistent, match=f"FIN_SUCC element {u} lies below"):
         split_linearize(s, low + high)
+    assert len(calls) == high * low
+    assert {x for x, _ in calls} == set(range(low, low + high))
+    assert {y for _, y in calls} == set(range(low))
 
 
 def test_split_rejects_junk_side_answers():

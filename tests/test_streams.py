@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from taulike import (
     FiniteDomainEnd,
     FormatError,
+    Kind,
     build_poset,
+    check_tau_like,
+    random_poset,
     validate_oracles,
 )
 from taulike.kinds import FinSide
@@ -86,18 +94,40 @@ def test_negative_stage_rejected():
 
 
 def test_relation_matrix_block_matches_scalar():
+    from taulike import make_embed_gadget, make_range_gadget
+
     for s in (
         omega_stream(),
         omega_star_stream(),
         zeta_stream(),
         antichain_stream(),
         omega_plus_omega_star_stream(),
+        stream_from_finite(random_poset(20, 0.3, seed=2)),
+        make_range_gadget("perm:2,0,3,1;gap:2").stream,
+        make_embed_gadget("perm:2,0,3,1;gap:2").stream,
     ):
         ids = take(s, 12)
-        block = s.relation_matrix(ids)
-        for i, x in enumerate(ids):
-            for j, y in enumerate(ids):
-                assert bool(block[i, j]) == s.leq(x, y), (s.name, x, y)
+        # rectangles reach past the prefix, in any order and size
+        rows, cols = take(s, 20)[::-3], take(s, 20)[5:]
+        for r, c, block in ((ids, ids, s.relation_matrix(ids)), (rows, cols, s.relation_matrix(rows, cols))):
+            assert block.shape == (len(r), len(c))
+            for i, x in enumerate(r):
+                for j, y in enumerate(c):
+                    assert bool(block[i, j]) == s.leq(x, y), (s.name, x, y)
+        assert s.relation_matrix([], cols).shape == (0, len(cols))
+
+
+def test_one_list_hook_serves_squares_and_leq_serves_rectangles():
+    seen = []
+
+    def hook(ids):
+        seen.append(list(ids))
+        return np.less_equal.outer(ids, ids)
+
+    s = StreamPoset(lambda st: st, lambda x, y: x <= y, leq_block=hook)
+    assert s.relation_matrix([0, 2, 1]).tolist() == [[True, True, True], [False, True, False], [False, True, True]]
+    assert s.relation_matrix([5, 1], [0, 3]).tolist() == [[False, False], [False, True]]
+    assert seen == [[0, 2, 1]]
 
 
 # -- zigzag ids --------------------------------------------------------------
@@ -304,6 +334,30 @@ def test_validator_flags_disagreeing_block_hook():
     assert any(v.kind == "RELATION" and v.oracle == "leq" for v in report.violations)
 
 
+def _rectangles_lie(bundle: OracleBundle) -> StreamPoset:
+    # honest squares; every rectangle says "all comparable"
+    def hook(rows, cols=None):
+        if cols is None:
+            return np.less_equal.outer(rows, rows)
+        return np.ones((len(rows), len(cols)), dtype=bool)
+
+    return StreamPoset(lambda st: st, lambda x, y: x <= y, oracles=bundle, leq_block=hook, name="lying-rectangles")
+
+
+def test_auditors_catch_a_lying_rectangle_hook():
+    # predecessors also list x + 1 .. x + 4, all past a prefix of 10 and all unsound
+    bundle = OracleBundle(predecessors=lambda x: list(range(x + 5)) if x == 9 else list(range(x + 1)))
+    report = validate_oracles(_rectangles_lie(bundle), 10)
+    assert not report.ok
+    (fault,) = report.violations
+    assert (fault.kind, fault.detail) == ("RELATION", "leq_block disagrees with leq") and fault.subject[1] == 9
+    tau = check_tau_like(_rectangles_lie(bundle), Kind.OMEGA, prefix_size=10)
+    assert not tau.ok and tau.notes in (["leq_block disagrees with leq on (%d, 9)" % y] for y in range(10, 14))
+    # without a hook the same lie is decided by leq
+    hookless = StreamPoset(lambda st: st, lambda x, y: x <= y, oracles=bundle)
+    assert [v.subject for v in validate_oracles(hookless, 10).violations] == [(9, y) for y in range(10, 14)]
+
+
 def test_validator_empty_prefix_trivially_ok():
     s = stream_from_finite(build_poset([], []))
     report = validate_oracles(s, 5)
@@ -351,3 +405,139 @@ def test_check_listing_names_each_fault():
     # listed ids outside the prefix are decided by the comparison
     (bad,) = check_listing("predecessors", 2, [0, 1, 2, 3, 9], truth, lambda y: y == 9, prefix_ids)
     assert (bad.kind, bad.subject) == ("UNSOUND", (2, 3))
+
+
+# -- bulk screening against the per-answer rule ---------------------------------
+
+
+def _with_hook(stream: StreamPoset, hook: str) -> StreamPoset:
+    """The same stream with a two-list, a one-list or no bulk hook."""
+    block = {"two": stream._leq_block, "one": lambda ids, square=stream._leq_block: square(ids), "none": None}[hook]
+    return StreamPoset(
+        stream._element_at, stream._leq, oracles=stream.oracles, size=stream.size,
+        name=stream.name, leq_block=block,
+    )
+
+
+def _spaced_naturals(base: int) -> StreamPoset:
+    # Prefix ids sit 7 apart above ``base``, so cone answers are long and
+    # list mostly ids outside the prefix.
+    return StreamPoset(
+        lambda st: base + 7 * st,
+        lambda x, y: x <= y,
+        oracles=OracleBundle(
+            predecessors=lambda x: list(range(x + 1)),
+            interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
+        ),
+        name="spaced",
+        leq_block=lambda rows, cols=None: np.less_equal.outer(rows, rows if cols is None else cols),
+    )
+
+
+def _lie(fn, subject, fault, pick, extra):
+    """``fn`` with one fault in its answers about ``subject``."""
+
+    def lying(*args):
+        ans = fn(*args)
+        if ans is None or (fault != "every-interval" and args[0] != subject):
+            return ans
+        ans = list(ans)
+        at = pick % max(len(ans), 1)
+        if fault in ("drop", "every-interval"):
+            return ans[:at] + ans[at + 1:]
+        if fault == "dup":
+            return ans + ans[at:at + 1]
+        if fault == "swap":  # the first listed id, which is always verified, gives way
+            return [extra] + ans[1:]
+        return ans + [extra]  # "extra" names any element, "outside" one past the prefix
+
+    return lying
+
+
+@st.composite
+def _lying_audits(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        poset = random_poset(n, draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 10_000)))
+        stream = stream_from_finite(poset)
+        s = draw(st.integers(1, n))
+        inside, universe = list(poset.elements[:s]), list(poset.elements)
+        outside = universe[s:]
+    else:
+        stream = _spaced_naturals(draw(st.integers(1500, 9000)))
+        s = draw(st.integers(1, 30))
+        inside = take(stream, s)
+        outside = [inside[-1] + 3, inside[-1] + 10, inside[0] + 1, inside[0] // 2]
+        universe = inside + outside
+    bundle = stream.oracles
+    names = [name for name in ("predecessors", "successors", "interval") if getattr(bundle, name)]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(names))
+        fault = draw(st.sampled_from(["drop", "dup", "extra", "outside", "swap"] + ["every-interval"] * (name == "interval")))
+        pool = outside if fault in ("outside", "swap") and outside else universe
+        lying = _lie(
+            getattr(bundle, name), draw(st.sampled_from(inside)), fault,
+            draw(st.integers(0, 10_000)), draw(st.sampled_from(pool)),
+        )
+        bundle = dataclasses.replace(bundle, **{name: lying})
+    stream.oracles = bundle
+    return _with_hook(stream, draw(st.sampled_from(["two", "one", "none"]))), s
+
+
+def _assert_per_answer_rule(stream: StreamPoset, s: int) -> None:
+    """Both auditors report what checking each answer alone reports."""
+    ids, bundle, leq = take(stream, s), stream.oracles, stream.leq
+    n = len(ids)
+    queries = [
+        (name, i, i, getattr(bundle, name)(ids[i]))
+        for name in ("predecessors", "successors") if getattr(bundle, name) for i in range(n)
+    ]
+    if bundle.interval:
+        queries += [("interval", i, j, bundle.interval(ids[i], ids[j])) for i in range(n) for j in range(n)]
+    faults, checked, undefined = brute.audit_each_answer(ids, leq, queries)
+
+    report = validate_oracles(stream, s)
+    listing = [v for v in report.violations if v.oracle in checked]
+    assert [(v.kind, v.oracle, v.subject, v.detail) for v in listing] == faults
+    assert {k: report.checked[k] for k in checked} == checked
+    assert {k: report.undefined[k] for k in checked} == undefined
+
+    for kind, name in ((Kind.OMEGA, "predecessors"), (Kind.OMEGA_STAR, "successors"), (Kind.ZETA, "interval")):
+        fn = getattr(bundle, name)
+        if fn is None:
+            answer = lambda x: None  # noqa: E731
+        else:
+            answer = (lambda x, fn=fn: fn(ids[0], x)) if kind is Kind.ZETA else fn
+        counts, notes = brute.tau_each_answer(ids, leq, kind.value, answer)
+        got = check_tau_like(stream, kind, prefix_size=s)
+        assert (got.counts, got.notes, got.ok) == (counts, notes, not notes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_lying_audits())
+def test_bulk_audits_match_the_per_answer_rule(case):
+    _assert_per_answer_rule(*case)
+
+
+@pytest.mark.parametrize("hook", ["two", "one", "none"])
+def test_bulk_audit_stops_where_the_per_answer_rule_stops(hook):
+    stream = stream_from_finite(random_poset(24, 0.3, seed=5))
+    h = stream.oracles
+    stream.oracles = dataclasses.replace(h, interval=_lie(h.interval, None, "every-interval", 0, None))
+    stream = _with_hook(stream, hook)
+    report = validate_oracles(stream, 24)
+    assert len(report.violations) >= 200 and report.checked["interval"] < 24 * 24
+    _assert_per_answer_rule(stream, 24)
+
+
+@pytest.mark.parametrize("hook", ["two", "one", "none"])
+def test_long_answers_are_sampled_like_the_per_answer_rule(hook):
+    # 5001+ ids per answer: every 2nd one is verified.  Position 0 is, so the
+    # lie there is named; position 1 is not, so that lie passes unseen.
+    stream = _spaced_naturals(5000)
+    honest = stream.oracles.predecessors
+    stream.oracles = OracleBundle(predecessors=lambda x: [x + 1, x + 2] + honest(x)[2:])
+    stream = _with_hook(stream, hook)
+    report = validate_oracles(stream, 5)
+    assert [(v.kind, v.subject) for v in report.violations] == [("UNSOUND", (x, x + 1)) for x in take(stream, 5)]
+    _assert_per_answer_rule(stream, 5)
