@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Sequence
 
 import numpy as np
@@ -89,24 +90,28 @@ def szpilrajn_extend(poset: FinitePoset) -> LinearOrder:
     immediately after its rightmost already-placed predecessor, else
     immediately before its leftmost already-placed successor, else at the
     right end.  Placed predecessors always precede placed successors, so the
-    rule keeps the list an extension at every step.
+    rule keeps the list an extension at every step.  Each element's
+    predecessors and successors are read once, as its column and row of the
+    poset's relation matrix.
     """
-    placed: list[int] = []
-    for x in poset.elements:
-        last_pred = None
-        first_succ = None
-        for i, y in enumerate(placed):
-            if poset.le(y, x):
-                last_pred = i
-            if first_succ is None and poset.le(x, y):
-                first_succ = i
-        if last_pred is not None:
-            placed.insert(last_pred + 1, x)
-        elif first_succ is not None:
-            placed.insert(first_succ, x)
+    m = poset.matrix
+    placed: list[int] = []  # matrix indices, left to right
+    for i in range(poset.size):
+        below = m[:, i].tolist()
+        at = len(placed)
+        for k in range(at - 1, -1, -1):
+            if below[placed[k]]:
+                at = k + 1
+                break
         else:
-            placed.append(x)
-    return LinearOrder(tuple(placed))
+            above = m[i].tolist()
+            for k, j in enumerate(placed):
+                if above[j]:
+                    at = k
+                    break
+        placed.insert(at, i)
+    els = poset.elements
+    return LinearOrder(tuple(els[j] for j in placed))
 
 
 def _induced(stream: StreamPoset, members: Sequence[int]) -> FinitePoset:
@@ -185,7 +190,9 @@ def _cone_run(
         if pivot is None:
             break
         cone = oracle_answer(fn, pivot, what=f"{oracle_name} oracle")
-        members = sorted(({pivot} | set(cone)) - absorbed)
+        fresh = set(filterfalse(absorbed.__contains__, cone))
+        fresh.add(pivot)
+        members = sorted(fresh)
         absorbed.update(members)
         blocks.append(Block(pivot=pivot, members=tuple(members), side=BlockSide.RIGHT))
         segs.append(_segment(stream, members))

@@ -20,6 +20,7 @@ from .errors import (
     CycleError,
     FormatError,
     MissingPartError,
+    TooLarge,
     UnknownIdError,
 )
 from .kinds import FinSide, Kind
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 POSET_SCHEMA = "taulike.poset/1"
+# Size guard for poset documents: closure is cubic and the matrix quadratic in
+# the element count, so larger documents are refused before any of that work.
+# Writing obeys the same guard, so every document written here reads back.
+MAX_DOCUMENT_ELEMENTS = 4096
+MAX_DOCUMENT_PAIRS = 64 * MAX_DOCUMENT_ELEMENTS
 
 
 def pair_id(part: int, member: int) -> int:
@@ -417,12 +423,24 @@ class CanonicalPoint:
 _ALLOWED_KEYS = {"schema", "elements", "relation", "meta"}
 
 
+def _check_document_size(elements: int, pairs: int = 0) -> None:
+    if elements > MAX_DOCUMENT_ELEMENTS:
+        raise TooLarge(f"poset document has {elements} elements; the limit is {MAX_DOCUMENT_ELEMENTS}")
+    if pairs > MAX_DOCUMENT_PAIRS:
+        raise TooLarge(f"poset document has {pairs} relation pairs; the limit is {MAX_DOCUMENT_PAIRS}")
+
+
 def poset_to_json_dict(poset: FinitePoset, meta: dict | None = None) -> dict:
-    """Serialize as elements plus generator pairs (the transitive reduction)."""
+    """Serialize as elements plus generator pairs (the transitive reduction).
+
+    Raises ``TooLarge`` for a poset whose document the loader would refuse."""
+    _check_document_size(poset.size)  # before the covers are computed
+    relation = [list(p) for p in poset.covers()]
+    _check_document_size(poset.size, len(relation))
     doc: dict = {
         "schema": POSET_SCHEMA,
         "elements": list(poset.elements),
-        "relation": [list(p) for p in poset.covers()],
+        "relation": relation,
     }
     if meta is not None:
         doc["meta"] = meta
@@ -446,6 +464,7 @@ def poset_from_json_dict(doc: object) -> FinitePoset:
         raise FormatError("'elements' must be a list of ints")
     if not isinstance(relation, list):
         raise FormatError("'relation' must be a list of pairs")
+    _check_document_size(len(elements), len(relation))
     pairs = []
     for item in relation:
         if not (

@@ -190,12 +190,15 @@ def require_oracle(stream: StreamPoset, name: str):
     return fn
 
 
-def oracle_answer(fn, *args, what: str = "oracle") -> list[int]:
-    """Call a finiteness oracle that the algorithm requires to be defined."""
+def oracle_answer(fn, *args, what: str = "oracle") -> Iterable[int]:
+    """Call a finiteness oracle that the algorithm requires to be defined.
+
+    The answer is returned as given, not copied, for the caller to read once.
+    """
     ans = fn(*args)
     if ans is None:
         raise OracleMissing(f"{what} returned no finite answer for {args}")
-    return list(ans)
+    return ans
 
 
 # -- validation -------------------------------------------------------------

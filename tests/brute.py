@@ -107,6 +107,31 @@ def insertion_order(members, leq) -> list[int]:
     return placed
 
 
+def cone_blocks(enumeration, cone, blocks_wanted=None, elements_wanted=None):
+    """The one-sided block run, restated: each pivot is the least-enumerated
+    id not yet absorbed, and its block is ``({pivot} | cone(pivot))`` minus
+    everything absorbed, sorted.
+
+    A block budget wins over an element budget; with neither, the run uses
+    up ``enumeration``.  Returns ``(pivot, members)`` pairs."""
+    absorbed: set[int] = set()
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    emitted = 0
+    for p in enumeration:
+        if blocks_wanted is not None:
+            if len(blocks) >= blocks_wanted:
+                break
+        elif elements_wanted is not None and emitted >= elements_wanted:
+            break
+        if p in absorbed:
+            continue
+        members = tuple(sorted(({p} | set(cone(p))) - absorbed))
+        absorbed.update(members)
+        blocks.append((p, members))
+        emitted += len(members)
+    return blocks
+
+
 def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None):
     """The two-ended block run with no pruning: every new pivot asks the
     interval oracle from every earlier pivot and from itself.

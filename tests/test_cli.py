@@ -11,9 +11,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import taulike.poset
+from taulike import TooLarge
 from taulike.cli import main
-from taulike.poset import poset_from_json_dict, poset_to_json_dict
+from taulike.poset import (
+    MAX_DOCUMENT_ELEMENTS,
+    MAX_DOCUMENT_PAIRS,
+    build_poset,
+    poset_from_json_dict,
+    poset_to_json_dict,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -352,3 +362,185 @@ def test_version_flag():
             main(["--version"])
     assert exc.value.code == 0
     assert buf.getvalue().startswith("taulike ")
+
+
+# -- size guard ------------------------------------------------------------------------
+
+
+class _Closed(Exception):
+    """Raised in place of closure: the document got past the size guard."""
+
+
+def _refuse_closure(*args, **kwargs):
+    raise _Closed
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": list(range(MAX_DOCUMENT_ELEMENTS + 1)), "relation": []},
+        {"elements": [0, 1], "relation": [[0, 1]] * (MAX_DOCUMENT_PAIRS + 1)},
+    ],
+    ids=["elements", "pairs"],
+)
+def test_oversized_input_is_refused_before_closure(tmp_path, monkeypatch, doc):
+    monkeypatch.setattr(taulike.poset, "build_poset", _refuse_closure)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli_error("linearize", "--kind", "omega", "--input", str(path))["code"] == "TooLarge"
+    # one element or pair fewer passes the guard and reaches closure
+    doc[max(doc, key=lambda k: len(doc[k]))].pop()
+    with pytest.raises(_Closed):
+        poset_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("what", ["fuf", "range", "embed"])
+def test_every_gadget_written_reads_back(tmp_path, monkeypatch, what):
+    """Writing obeys the reading guard, shown at a small limit: a gadget of
+    exactly the limit is written and reads back, one element more is refused."""
+    limit = 12
+    monkeypatch.setattr(taulike.poset, "MAX_DOCUMENT_ELEMENTS", limit)
+
+    def gadget(n: int) -> list[str]:  # a gadget whose poset has n elements
+        if what == "fuf":
+            return ["gadget", "fuf", "--sets", str(n - 1)]  # one part and its marker
+        return ["gadget", what, "--f", "identity", "--elements", str(n)]
+
+    over = tmp_path / "over.json"
+    assert run_cli_error(*gadget(limit + 1), "--out", str(over))["code"] == "TooLarge"
+    assert not over.exists()
+    out = tmp_path / "g.json"
+    doc = run_cli(*gadget(limit), "--out", str(out))
+    if what == "fuf":
+        decoded = run_cli("decode", "fuf", "--input", str(out))
+        assert sorted(decoded["order"]) == doc["poset"]["elements"]
+    else:
+        prefix = tmp_path / "prefix.json"
+        prefix.write_text(json.dumps(doc["prefix"]))
+        order = run_cli("linearize", "--kind", "omega", "--input", str(prefix), "--elements", str(limit))
+        assert sorted(order["order"]) == sorted(doc["prefix"]["elements"])
+
+
+def test_a_poset_with_more_covers_than_the_guard_is_not_written(monkeypatch):
+    monkeypatch.setattr(taulike.poset, "MAX_DOCUMENT_PAIRS", 3)
+    assert len(poset_to_json_dict(build_poset(range(4), [(0, 1), (1, 2), (2, 3)]))["relation"]) == 3
+    with pytest.raises(TooLarge):
+        poset_to_json_dict(build_poset(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)]))
+
+
+# -- the whole grammar ------------------------------------------------------------------
+
+# Each command with the flags it needs (a "source" is --input or --family) and
+# the flags it also takes.
+_SOURCE = ["--input", "--family", "--f", "--sets", "--kind", "--seed", "--out"]
+_GRAMMAR = {
+    ("linearize",): (["--kind", "source"], _SOURCE + ["--blocks", "--elements"]),
+    ("embed",): (["--kind", "source"], _SOURCE + ["--blocks", "--elements"]),
+    ("gadget", "fuf"): (["--sets"], _SOURCE + ["--elements"]),
+    **{("gadget", what): (["--f"], _SOURCE + ["--elements"]) for what in ("stage", "range", "embed")},
+    ("decode", "fuf"): (["--input"], ["--seed", "--out"]),
+    ("decode", "false-stages"): (["--f"], ["--horizon", "--elements", "--seed", "--out"]),
+    ("decode", "range"): (["--f", "--elements"], ["--horizon", "--seed", "--out"]),
+    ("verify",): (["source"], _SOURCE + ["--elements"]),
+    ("oracle",): (["source"], _SOURCE + ["--elements"]),
+}
+_FAMILIES = [
+    "omega", "omega-star", "zeta", "zeta-1", "antichain", "omega-omega-star", "random",
+    "range-gadget", "embed-gadget", "fuf", "nowhere",
+]
+_KINDS = ["omega", "omega-star", "zeta", "omega-omega-star", "sideways"]
+_SPECS = ["identity", "swap:2", "perm:2,0,1", "perm:0,0", "perm:", "swap:-1", "junk"]
+_SETS = ["1;2", "0", "2;1;3", "-1", "x;y", ""]
+
+
+_MALFORMED = {
+    "not-json": "{elements",
+    "array": "[1, 2]",
+    "string": '"poset"',
+    "null": "null",
+    "unknown-key": '{"nodes": [], "relation": []}',
+    "no-relation": '{"elements": [0]}',
+    "bool-ids": '{"elements": [true, false], "relation": []}',
+    "negative-id": '{"elements": [-1], "relation": []}',
+    "duplicate-id": '{"elements": [0, 0], "relation": []}',
+    "short-pair": '{"elements": [0, 1], "relation": [[0]]}',
+    "dangling": '{"elements": [0], "relation": [[0, 5]]}',
+    "cycle": '{"elements": [0, 1], "relation": [[0, 1], [1, 0]]}',
+    "gadget-shape": '{"poset": 3, "variant": "omega", "parts": 5, "top_markers": []}',
+}
+# malformed documents, files that load, and paths that are no JSON file at all
+_INPUTS = sorted(_MALFORMED) + ["over-guard", "chain", "fence", "gadget", "bad-bytes", "a-directory", "missing"]
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    texts = {
+        **_MALFORMED,
+        "over-guard": json.dumps({"elements": list(range(MAX_DOCUMENT_ELEMENTS + 1)), "relation": []}),
+        "chain": json.dumps({"elements": list(range(12)), "relation": [[i, i + 1] for i in range(11)]}),
+        "fence": (GOLDEN / "fence.json").read_text(),
+        "gadget": (GOLDEN / "gadget_fuf.json").read_text(),
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "bad-bytes").write_bytes(b'\xff\xfe{"elements": [0], "relation": []}')
+    (root / "a-directory").mkdir()
+    return root
+
+
+@st.composite
+def _argv(draw, root: Path) -> list[str]:
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    needed, optional = _GRAMMAR[command]
+    flags = [f for f in needed if draw(st.integers(0, 5))]  # usually present
+    flags = [draw(st.sampled_from(["--input", "--family"])) if f == "source" else f for f in flags]
+    flags += draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))
+    flags = list(dict.fromkeys(flags))
+    values = {
+        "--input": st.sampled_from(_INPUTS).map(lambda name: str(root / name)),
+        "--family": st.sampled_from(_FAMILIES),
+        "--f": st.sampled_from(_SPECS),
+        "--sets": st.sampled_from(_SETS),
+        "--kind": st.sampled_from(_KINDS),
+        "--seed": st.integers(0, 3).map(str),
+        "--out": st.sampled_from(["out.json", "nodir/out.json"]).map(lambda name: str(root / name)),
+        "--blocks": st.integers(-1, 12).map(str),
+        "--elements": st.integers(-1, 40).map(str),
+        "--horizon": st.integers(-1, 60).map(str),
+    }
+    argv = list(command)
+    for flag in flags:
+        argv += [flag, draw(values[flag])]
+    return argv
+
+
+def _assert_one_envelope_or_usage(argv: list[str]) -> None:
+    """Exit 0, 1 or 2; one JSON object on stdout, or a usage line on stderr; no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and "usage:" in err.getvalue(), argv
+        return
+    assert out.getvalue().count("\n") == 1, argv
+    doc = json.loads(out.getvalue())
+    assert isinstance(doc, dict)
+    assert ("error" in doc) == (code == 1), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_one_envelope_or_a_usage_error(input_dir, data):
+    _assert_one_envelope_or_usage(data.draw(_argv(input_dir)))
+
+
+def test_every_input_file_ends_in_one_envelope(input_dir):
+    for name in _INPUTS:
+        for command in (["linearize", "--kind", "omega"], ["verify"], ["decode", "fuf"]):
+            _assert_one_envelope_or_usage([*command, "--input", str(input_dir / name)])

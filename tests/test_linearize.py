@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from itertools import permutations
 
 import pytest
@@ -76,6 +77,18 @@ def test_szpilrajn_antichain_is_enumeration_order():
 def test_szpilrajn_always_extends(pairs):
     p = build_poset(range(7), pairs)
     assert is_linear_extension(szpilrajn_extend(p), p).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_szpilrajn_places_by_the_insertion_rule(n, density, seed):
+    base = random_poset(n, density, seed)
+    p = base.restrict(random.Random(seed).sample(base.elements, n))  # a shuffled order
+    assert list(szpilrajn_extend(p)) == brute.insertion_order(p.elements, p.le)
 
 
 # -- omega runs ---------------------------------------------------------------
@@ -254,6 +267,56 @@ def test_zeta_extends_on_random_finite(seed):
     for b in blocks:
         for x in b.members:
             assert p.le(x, b.pivot) or p.le(b.pivot, x)
+
+
+# -- one-sided runs against the restated rule -------------------------------------------
+
+# How a bundle may hand back a correct cone: the run must read each shape alike.
+_CONE_SHAPES = {
+    "list": lambda x, ans, rng: ans,
+    "shuffled": lambda x, ans, rng: rng.sample(ans, len(ans)),
+    "repeated": lambda x, ans, rng: ans + ans[::2],
+    "tuple": lambda x, ans, rng: tuple(ans),
+    "generator": lambda x, ans, rng: (y for y in ans),
+    "no pivot": lambda x, ans, rng: [y for y in ans if y != x],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    density=st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]),
+    seed=st.integers(0, 2**16),
+    shape=st.sampled_from(sorted(_CONE_SHAPES)),
+    dual=st.booleans(),
+    budget=st.sampled_from(["none", "blocks", "elements", "both"]),
+    size=st.integers(0, 12),
+)
+def test_cone_runs_match_the_restated_rule(n, density, seed, shape, dual, budget, size):
+    rng = random.Random(seed)
+    base = random_poset(n, density, seed)
+    p = base.restrict(rng.sample(base.elements, n))  # enumerate in a shuffled order
+    stream = stream_from_finite(p)
+    name = "successors" if dual else "predecessors"
+    inner, reshape = getattr(p, name), _CONE_SHAPES[shape]
+
+    def cone(x):
+        return reshape(x, inner(x), rng)
+
+    stream.oracles = dataclasses.replace(stream.oracles, **{name: cone})
+    blocks_wanted = size if budget in ("blocks", "both") else None
+    elements_wanted = size if budget in ("elements", "both") else None
+
+    run = omega_star_linearize if dual else omega_linearize
+    blocks, order = run(stream, blocks_wanted, elements_wanted=elements_wanted)
+    want = brute.cone_blocks(p.elements, cone, blocks_wanted, elements_wanted)
+    assert [(b.pivot, b.members) for b in blocks] == want
+    segs = [brute.insertion_order(members, p.le) for _, members in want]
+    if dual:
+        segs.reverse()
+    assert list(order) == [x for seg in segs for x in seg]
+    if dual and want:
+        assert order.anchor_index == list(order).index(want[0][0])
 
 
 # -- the extremal-pivot rule against the every-pivot rule ------------------------------
