@@ -214,11 +214,6 @@ class StageOrder:
         )
         return sorted(range(len(self.values)), key=key)
 
-    def poset(self) -> FinitePoset:
-        s = len(self.values)
-        pairs = [(n, m) for n in range(s) for m in range(s) if self.leq(n, m)]
-        return FinitePoset.from_closed(tuple(range(s)), pairs)
-
 
 def make_stage_order(f_prefix: Sequence[int]) -> StageOrder:
     values = tuple(int(v) for v in f_prefix)

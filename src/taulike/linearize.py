@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Sequence
+from itertools import chain, filterfalse
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kinds import BlockSide, FinSide, Kind
 from .poset import FinitePoset, LinearOrder
-from .streams import StreamPoset, oracle_answer, read_side, require_oracle
+from .streams import StreamPoset, oracle_answer, read_side, require_oracle, take
 
 __all__ = [
     "Block",
@@ -124,89 +124,63 @@ def _segment(stream: StreamPoset, members: Sequence[int]) -> list[int]:
     return list(szpilrajn_extend(_induced(stream, members)))
 
 
-class _PivotScan:
-    """Walks the enumeration, yielding the least-enumerated unabsorbed id.
+def _block_run(
+    stream: StreamPoset,
+    kind: Kind,
+    step: Callable[[int], tuple[Iterable[int], BlockSide]],
+    blocks_wanted: int | None,
+    elements_wanted: int | None,
+) -> tuple[BlockSeq, LinearOrder]:
+    """The one block construction behind every block run.
 
-    With complete oracles, "not yet absorbed" is exactly the pivot
-    eligibility condition of every block construction here, because the
-    absorbed set is the union of the oracle-defined cones of all earlier
-    pivots.
+    Each pivot is the least-enumerated id not yet absorbed.  With complete
+    oracles that is exactly the pivot eligibility condition of every run
+    here, because the absorbed set is the union of the oracle-defined sets
+    of all earlier pivots.  ``step(pivot)`` returns the ids the pivot pins
+    down and the side its block goes on; the block is the pivot plus those
+    ids minus everything absorbed, sorted, and its segment goes on the left
+    of the order for ``LEFT`` and on the right for ``RIGHT``.  Every run but
+    the rising one anchors signed position 0 at the first pivot.
     """
-
-    def __init__(self, stream: StreamPoset):
-        self.stream = stream
-        self.stage = 0
-
-    def next_pivot(self, absorbed: set[int]) -> int | None:
-        scanned = 0
-        while True:
-            try:
-                x = self.stream.element_at(self.stage)
-            except FiniteDomainEnd:
-                return None
-            self.stage += 1
-            if x not in absorbed:
-                return x
+    # A block budget wins over an element budget; no budget means run until
+    # the stream is exhausted.
+    if blocks_wanted is not None:
+        elements_wanted = None
+    absorbed: set[int] = set()
+    blocks: list[Block] = []
+    positions: deque[int] = deque()
+    emitted = stage = scanned = 0
+    while (blocks_wanted is None or len(blocks) < blocks_wanted) and (
+        elements_wanted is None or emitted < elements_wanted
+    ):
+        try:
+            pivot = stream.element_at(stage)
+        except FiniteDomainEnd:
+            break
+        stage += 1
+        if pivot in absorbed:
             scanned += 1
             if scanned > MAX_PIVOT_SCAN:
                 raise TooLarge(
                     f"no new pivot within {MAX_PIVOT_SCAN} stages; stream may not satisfy its kind promise"
                 )
-
-
-def _budget_open(
-    blocks: list, emitted: int, blocks_wanted: int | None, elements_wanted: int | None
-) -> bool:
-    # A block budget wins over an element budget; no budget means run until
-    # the stream is exhausted.
-    if blocks_wanted is not None:
-        return len(blocks) < blocks_wanted
-    if elements_wanted is not None:
-        return emitted < elements_wanted
-    return True
-
-
-def _cone_run(
-    stream: StreamPoset,
-    *,
-    dual: bool,
-    blocks_wanted: int | None,
-    elements_wanted: int | None,
-) -> tuple[BlockSeq, LinearOrder]:
-    """Shared body of the one-sided block constructions.
-
-    ``dual=False`` consumes the predecessors oracle and appends blocks;
-    ``dual=True`` consumes successors and prepends.
-    """
-    oracle_name = "successors" if dual else "predecessors"
-    fn = require_oracle(stream, oracle_name)
-    scan = _PivotScan(stream)
-    absorbed: set[int] = set()
-    blocks: list[Block] = []
-    segs: list[list[int]] = []
-    emitted = 0
-    while _budget_open(blocks, emitted, blocks_wanted, elements_wanted):
-        pivot = scan.next_pivot(absorbed)
-        if pivot is None:
-            break
-        cone = oracle_answer(fn, pivot, what=f"{oracle_name} oracle")
-        fresh = set(filterfalse(absorbed.__contains__, cone))
+            continue
+        scanned = 0
+        ids, side = step(pivot)
+        fresh = set(filterfalse(absorbed.__contains__, ids))
         fresh.add(pivot)
         members = sorted(fresh)
         absorbed.update(members)
-        blocks.append(Block(pivot=pivot, members=tuple(members), side=BlockSide.RIGHT))
-        segs.append(_segment(stream, members))
-        emitted += len(members)
-    if dual:
-        positions: list[int] = []
-        for seg in reversed(segs):
+        seg = _segment(stream, members)
+        if side is BlockSide.LEFT:
+            positions.extendleft(reversed(seg))
+        else:
             positions.extend(seg)
-        anchor = positions.index(blocks[0].pivot) if blocks else None
-    else:
-        positions = [x for seg in segs for x in seg]
-        anchor = None
-    kind = Kind.OMEGA_STAR if dual else Kind.OMEGA
-    return BlockSeq(tuple(blocks), kind), LinearOrder(tuple(positions), anchor_index=anchor)
+        blocks.append(Block(pivot=pivot, members=tuple(members), side=side))
+        emitted += len(members)
+    order = tuple(positions)
+    anchor = order.index(blocks[0].pivot) if blocks and kind is not Kind.OMEGA else None
+    return BlockSeq(tuple(blocks), kind), LinearOrder(order, anchor_index=anchor)
 
 
 def omega_linearize(
@@ -221,9 +195,12 @@ def omega_linearize(
     blocks; its members are the pivot's predecessors minus earlier blocks.
     The output order concatenates the blocks left to right.
     """
-    return _cone_run(
-        stream, dual=False, blocks_wanted=blocks_wanted, elements_wanted=elements_wanted
-    )
+    fn = require_oracle(stream, "predecessors")
+
+    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
+        return oracle_answer(fn, pivot, what="predecessors oracle"), BlockSide.RIGHT
+
+    return _block_run(stream, Kind.OMEGA, step, blocks_wanted, elements_wanted)
 
 
 def omega_star_linearize(
@@ -237,9 +214,12 @@ def omega_star_linearize(
     The returned order anchors block 0 rightmost (its pivot is signed
     position 0).
     """
-    return _cone_run(
-        stream, dual=True, blocks_wanted=blocks_wanted, elements_wanted=elements_wanted
-    )
+    fn = require_oracle(stream, "successors")
+
+    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
+        return oracle_answer(fn, pivot, what="successors oracle"), BlockSide.LEFT
+
+    return _block_run(stream, Kind.OMEGA_STAR, step, blocks_wanted, elements_wanted)
 
 
 def zeta_linearize(
@@ -278,41 +258,25 @@ def zeta_linearize(
     no answer for such a pair no longer stops the run.
     """
     fn = require_oracle(stream, "interval")
-    scan = _PivotScan(stream)
-    covered: set[int] = set()
     minimal: list[int] = []
     maximal: list[int] = []
-    blocks: list[Block] = []
-    positions: deque[int] = deque()
-    emitted = 0
-    while _budget_open(blocks, emitted, blocks_wanted, elements_wanted):
-        pivot = scan.next_pivot(covered)
-        if pivot is None:
-            break
+
+    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
+        nonlocal minimal, maximal
         below = [m for m in minimal if stream.leq(m, pivot)]
         above = [m for m in maximal if stream.leq(pivot, m)]
-        new_cover: set[int] = {pivot}
-        for z in below + above + [pivot]:
-            new_cover.update(oracle_answer(fn, z, pivot, what="interval oracle"))
-        members = sorted(new_cover - covered)
-        covered |= new_cover
-        side = BlockSide.LEFT if above else BlockSide.RIGHT
+        answers = [
+            oracle_answer(fn, z, pivot, what="interval oracle") for z in below + above + [pivot]
+        ]
         # An earlier pivot below p means p is not minimal, and then no
         # minimal pivot lies above it; dually for the maximal list.
         if not below:
             minimal = [m for m in minimal if not stream.leq(pivot, m)] + [pivot]
         if not above:
             maximal = [m for m in maximal if not stream.leq(m, pivot)] + [pivot]
-        seg = _segment(stream, members)
-        if side is BlockSide.LEFT:
-            positions.extendleft(reversed(seg))
-        else:
-            positions.extend(seg)
-        blocks.append(Block(pivot=pivot, members=tuple(members), side=side))
-        emitted += len(members)
-    order = tuple(positions)
-    anchor = order.index(blocks[0].pivot) if blocks else None
-    return BlockSeq(tuple(blocks), Kind.ZETA), LinearOrder(order, anchor_index=anchor)
+        return chain.from_iterable(answers), BlockSide.LEFT if above else BlockSide.RIGHT
+
+    return _block_run(stream, Kind.ZETA, step, blocks_wanted, elements_wanted)
 
 
 def _substream(stream: StreamPoset, ids: Sequence[int], label: str) -> StreamPoset:
@@ -336,12 +300,7 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     (side-0 entirely below side-1), tagged with the per-element sides.
     """
     side_fn = require_oracle(stream, "side")
-    horizon: list[int] = []
-    for stage in range(elements_wanted):
-        try:
-            horizon.append(stream.element_at(stage))
-        except FiniteDomainEnd:
-            break
+    horizon = take(stream, elements_wanted)
     lower: list[int] = []
     upper: list[int] = []
     for x in horizon:

@@ -25,7 +25,6 @@ __all__ = [
     "StreamPoset",
     "take",
     "prefix",
-    "relation_matrix",
     "Violation",
     "ValidationReport",
     "validate_oracles",
@@ -167,10 +166,6 @@ def take(stream: StreamPoset, count: int) -> list[int]:
         except FiniteDomainEnd:
             break
     return out
-
-
-def relation_matrix(stream: StreamPoset, ids: Sequence[int]) -> np.ndarray:
-    return stream.relation_matrix(ids)
 
 
 def prefix(stream: StreamPoset, s: int) -> FinitePoset:

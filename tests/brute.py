@@ -132,19 +132,22 @@ def cone_blocks(enumeration, cone, blocks_wanted=None, elements_wanted=None):
     return blocks
 
 
-def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None):
+def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None, elements_wanted=None):
     """The two-ended block run with no pruning: every new pivot asks the
     interval oracle from every earlier pivot and from itself.
 
     Returns ``(blocks, order, anchor)`` with blocks as (pivot, members,
-    side) triples, over the finite ``enumeration`` or until
-    ``blocks_wanted`` blocks exist."""
+    side) triples, over the finite ``enumeration`` or until the budget is
+    spent; a block budget wins over an element budget."""
     covered: set[int] = set()
     pivots: list[int] = []
     blocks: list[tuple[int, tuple[int, ...], str]] = []
     order: list[int] = []
     for p in enumeration:
-        if len(blocks) == blocks_wanted:
+        if blocks_wanted is not None:
+            if len(blocks) >= blocks_wanted:
+                break
+        elif elements_wanted is not None and len(order) >= elements_wanted:
             break
         if p in covered:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
 from itertools import permutations
 
@@ -17,6 +18,7 @@ from taulike import (
     FormatError,
     Kind,
     OracleMissing,
+    TooLarge,
     all_linear_extensions,
     build_poset,
     chain_poset,
@@ -310,7 +312,8 @@ def test_cone_runs_match_the_restated_rule(n, density, seed, shape, dual, budget
     run = omega_star_linearize if dual else omega_linearize
     blocks, order = run(stream, blocks_wanted, elements_wanted=elements_wanted)
     want = brute.cone_blocks(p.elements, cone, blocks_wanted, elements_wanted)
-    assert [(b.pivot, b.members) for b in blocks] == want
+    side = BlockSide.LEFT if dual else BlockSide.RIGHT
+    assert [(b.pivot, b.members, b.side) for b in blocks] == [(x, m, side) for x, m in want]
     segs = [brute.insertion_order(members, p.le) for _, members in want]
     if dual:
         segs.reverse()
@@ -322,10 +325,10 @@ def test_cone_runs_match_the_restated_rule(n, density, seed, shape, dual, budget
 # -- the extremal-pivot rule against the every-pivot rule ------------------------------
 
 
-def _zeta_run_matches_every_pivot(stream, enumeration, blocks_wanted=None):
-    blocks, order = zeta_linearize(stream, blocks_wanted)
+def _zeta_run_matches_every_pivot(stream, enumeration, blocks_wanted=None, elements_wanted=None):
+    blocks, order = zeta_linearize(stream, blocks_wanted, elements_wanted=elements_wanted)
     want_blocks, want_order, want_anchor = brute.zeta_blocks_every_pivot(
-        enumeration, stream.leq, stream.oracles.interval, blocks_wanted
+        enumeration, stream.leq, stream.oracles.interval, blocks_wanted, elements_wanted
     )
     got = [(b.pivot, b.members, b.side.value) for b in blocks]
     assert got == want_blocks
@@ -355,6 +358,17 @@ def test_zeta_matches_every_pivot_rule_on_canonical(variant):
     stream = zeta_stream(variant)
     enumeration = [stream.element_at(s) for s in range(120)]
     _zeta_run_matches_every_pivot(stream, enumeration, 60)
+    _zeta_run_matches_every_pivot(stream, enumeration, None, 45)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_zeta_matches_every_pivot_rule_under_element_budgets(density, seed):
+    p = random_poset(12, density, seed=seed)
+    for elements_wanted in (0, 1, 5, 11):
+        _zeta_run_matches_every_pivot(stream_from_finite(p), p.elements, None, elements_wanted)
+        # a block budget wins over an element budget
+        _zeta_run_matches_every_pivot(stream_from_finite(p), p.elements, 2, elements_wanted)
 
 
 @pytest.mark.parametrize("variant", [0, 1, 2])
@@ -540,9 +554,73 @@ def test_dispatcher_routes_each_kind():
 
 
 def test_placement_debug_view_consistent_with_order():
-    blocks, order = zeta_linearize(zeta_stream(1), 8)
-    for x in order:
-        for y in order:
-            if blocks.placement_le(x, y):
-                # placement below-or-equal never contradicts the realized line
-                assert x == y or order.precedes(x, y) or blocks.block_of(x) == blocks.block_of(y)
+    for blocks, order in (
+        omega_linearize(omega_stream(), 8),
+        omega_star_linearize(omega_star_stream(), 8),
+        zeta_linearize(zeta_stream(), 8),
+        zeta_linearize(zeta_stream(1), 8),
+    ):
+        for x in order:
+            for y in order:
+                if x != y and blocks.block_of(x) != blocks.block_of(y):
+                    # across blocks the placement decides the realized line
+                    assert blocks.placement_le(x, y) == order.precedes(x, y)
+
+
+# -- the pivot scan's liveness guard ----------------------------------------------
+
+
+def _absorbing_stream(absorbed):
+    """An antichain whose first pivot's oracles claim the next ``absorbed``
+    stages, so the scan for the second pivot walks past all of them."""
+    first = list(range(absorbed + 1))
+    return StreamPoset(
+        lambda s: s,
+        lambda x, y: x == y,
+        oracles=OracleBundle(
+            predecessors=lambda x: first if x == 0 else [x],
+            interval=lambda x, y: first if x == y == 0 else [x] if x == y else [],
+        ),
+        name="absorbing",
+    )
+
+
+def test_pivot_scan_guard_stops_a_stream_without_new_pivots(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("taulike.linearize"), "MAX_PIVOT_SCAN", 300)
+    messages = []
+    for run in (omega_linearize, zeta_linearize):
+        with pytest.raises(TooLarge) as err:
+            run(_absorbing_stream(301), 2)
+        messages.append(str(err.value))
+        blocks, order = run(_absorbing_stream(300), 2)
+        assert [b.pivot for b in blocks] == [0, 301] and len(order) == 302
+    assert messages[0] == messages[1]
+    assert "no new pivot within 300 stages" in messages[0]
+
+
+# -- the per-layer tracer's hooks -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, make, reached",
+    [
+        (Kind.OMEGA, omega_stream, "omega_linearize"),
+        (Kind.OMEGA_STAR, omega_star_stream, "omega_star_linearize"),
+        (Kind.ZETA, zeta_stream, "zeta_linearize"),
+        (Kind.OMEGA_PLUS_OMEGA_STAR, omega_plus_omega_star_stream, "split_linearize"),
+    ],
+)
+def test_dispatcher_goes_through_the_rebindable_runs(monkeypatch, kind, make, reached):
+    # bench/tracing.py counts runs and blocks by rebinding these module names
+    module = importlib.import_module("taulike.linearize")
+    calls = []
+    for name in ("omega_linearize", "omega_star_linearize", "zeta_linearize", "split_linearize"):
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    module.linearize(make(), kind, elements=4)
+    assert calls[:1] == [reached]
