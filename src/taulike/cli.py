@@ -55,6 +55,10 @@ def natural(text: str) -> int:
     return value
 
 
+_F_HELP = "function spec: identity | perm:v0,v1,... | swap:k"
+_SETS_HELP = "semicolon-separated part sizes, e.g. '1;2'"
+
+
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", metavar="FILE", help="poset JSON file to load")
     p.add_argument(
@@ -66,12 +70,12 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
             "embed-gadget | fuf"
         ),
     )
-    p.add_argument("--f", metavar="SPEC", help="function spec: identity | perm:v0,v1,... | swap:k")
-    p.add_argument("--sets", metavar="SIZES", help="semicolon-separated part sizes, e.g. '1;2'")
+    p.add_argument("--f", metavar="SPEC", help=_F_HELP)
+    p.add_argument("--sets", metavar="SIZES", help=_SETS_HELP)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random family (default 0)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for generated inputs (default 0)")
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="also write the result JSON to this file")
 
 
@@ -92,56 +96,58 @@ def build_parser() -> argparse.ArgumentParser:
         type=natural,
         help=f"element budget (split default {_DEFAULT_SPLIT_ELEMENTS})",
     )
-    _add_common_flags(p_lin)
+    _add_out_flag(p_lin)
 
     p_emb = sub.add_parser("embed", help="embed a prefix into a canonical order")
     _add_source_flags(p_emb)
     p_emb.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_emb.add_argument("--blocks", type=natural)
     p_emb.add_argument("--elements", type=natural)
-    _add_common_flags(p_emb)
+    _add_out_flag(p_emb)
 
     p_gad = sub.add_parser("gadget", help="build an encoder gadget and print it")
     gad_sub = p_gad.add_subparsers(dest="what", required=True)
+    q = gad_sub.add_parser("fuf", help="marker gadget from part sizes")
+    q.add_argument("--sets", metavar="SIZES", required=True, help=_SETS_HELP)
+    q.add_argument("--kind", choices=_KIND_CHOICES, default="omega", help="gadget variant (default omega)")
+    _add_out_flag(q)
     for name, helptext in (
-        ("fuf", "marker gadget from part sizes"),
         ("stage", "stage order of a function prefix"),
         ("range", "stage-order-plus-chain stream"),
         ("embed", "antichain-over-fans stream"),
     ):
         q = gad_sub.add_parser(name, help=helptext)
-        _add_source_flags(q)
-        q.add_argument("--kind", choices=_KIND_CHOICES, help="gadget variant (fuf only)")
-        q.add_argument("--elements", type=natural, help="prefix length to include (default 16)")
-        _add_common_flags(q)
+        q.add_argument("--f", metavar="SPEC", required=True, help=_F_HELP)
+        q.add_argument("--elements", type=natural, default=16, help="prefix length to include (default 16)")
+        _add_out_flag(q)
 
     p_dec = sub.add_parser("decode", help="run a decoder against a gadget")
     dec_sub = p_dec.add_subparsers(dest="what", required=True)
     q = dec_sub.add_parser("fuf", help="union bound from a marker gadget file")
     q.add_argument("--input", metavar="FILE", required=True, help="gadget JSON from `gadget fuf`")
-    _add_common_flags(q)
+    _add_out_flag(q)
     q = dec_sub.add_parser("false-stages", help="undercut stages read off a split run")
-    q.add_argument("--f", metavar="SPEC", required=True)
+    q.add_argument("--f", metavar="SPEC", required=True, help=_F_HELP)
     q.add_argument("--horizon", type=natural, default=100, help="chain elements to emit (default 100)")
     q.add_argument("--elements", type=natural, help="report stages below this (default min(50, horizon))")
-    _add_common_flags(q)
+    _add_out_flag(q)
     q = dec_sub.add_parser("range", help="membership of m in the function's value set")
-    q.add_argument("--f", metavar="SPEC", required=True)
+    q.add_argument("--f", metavar="SPEC", required=True, help=_F_HELP)
     q.add_argument("--elements", type=natural, required=True, metavar="M", help="the value m to test")
     q.add_argument("--horizon", type=natural, default=256, help="embedding element budget (default 256)")
-    _add_common_flags(q)
+    _add_out_flag(q)
 
     p_ver = sub.add_parser("verify", help="check finiteness promises of a poset or stream")
     _add_source_flags(p_ver)
     p_ver.add_argument("--kind", choices=_KIND_CHOICES, help="restrict to one kind (default: all)")
     p_ver.add_argument("--elements", type=natural, help="prefix size for streams (default 50)")
-    _add_common_flags(p_ver)
+    _add_out_flag(p_ver)
 
     p_ora = sub.add_parser("oracle", help="validate a stream's oracle bundle on a prefix")
     _add_source_flags(p_ora)
     p_ora.add_argument("--kind", choices=_KIND_CHOICES, help="gadget variant (fuf family)")
     p_ora.add_argument("--elements", type=natural, help="prefix size (default 100)")
-    _add_common_flags(p_ora)
+    _add_out_flag(p_ora)
 
     return parser
 
@@ -271,16 +277,10 @@ def _fuf_gadget_from_json(doc: dict) -> FufGadget:
 
 def _cmd_gadget(args, parser) -> dict:
     if args.what == "fuf":
-        if not args.sets:
-            parser.error("gadget fuf needs --sets")
-        variant = Kind(args.kind) if args.kind else Kind.OMEGA
-        return _fuf_gadget_json(make_fuf_gadget(_parse_sets(args.sets, parser), variant))
-    if not args.f:
-        parser.error(f"gadget {args.what} needs --f")
+        return _fuf_gadget_json(make_fuf_gadget(_parse_sets(args.sets, parser), Kind(args.kind)))
     fspec = FunctionSpec.parse(args.f)
-    n = 16 if args.elements is None else args.elements
     if args.what == "stage":
-        so = make_stage_order(fspec.values(n))
+        so = make_stage_order(fspec.values(args.elements))
         return {
             "schema": "taulike.gadget.stage/1",
             "f": fspec.describe(),
@@ -296,14 +296,14 @@ def _cmd_gadget(args, parser) -> dict:
             "f": fspec.describe(),
             "window": fspec.window,
             "false_stages": sorted(fspec.false_stages()),
-            "prefix": poset_to_json_dict(prefix(gadget.stream, n)),
+            "prefix": poset_to_json_dict(prefix(gadget.stream, args.elements)),
         }
     gadget = make_embed_gadget(fspec)
     return {
         "schema": "taulike.gadget.embed/1",
         "f": fspec.describe(),
         "window": fspec.window,
-        "prefix": poset_to_json_dict(prefix(gadget.stream, n)),
+        "prefix": poset_to_json_dict(prefix(gadget.stream, args.elements)),
     }
 
 

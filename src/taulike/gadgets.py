@@ -160,6 +160,20 @@ def _witness_table(values: Sequence[int]) -> tuple[int | None, ...]:
     return tuple(out)
 
 
+def _witness_times(witness: Iterable[int | None]) -> list[int]:
+    """A witness table with ``_NO_WITNESS`` standing for "never undercut"."""
+    return [_NO_WITNESS if t is None else t for t in witness]
+
+
+def _stage_le(n, m, t_n, t_m):
+    """Does stage n sit at or below stage m, given t(n) and t(m)?
+
+    t(k) is the first later stage whose value drops below f(k), or
+    ``_NO_WITNESS``.  Works on ints and elementwise on int arrays.
+    """
+    return ((n < m) & (t_n <= m)) | ((n >= m) & (t_m > n))
+
+
 @dataclass(frozen=True)
 class StageOrder:
     """The linear order induced on stages 0..s-1 by an injective sequence.
@@ -167,7 +181,7 @@ class StageOrder:
     Stage n sits at-or-below stage m exactly when some stage in (n, m]
     undercuts f(n), or when m <= n and nothing in (m, n] undercuts f(m).
     With t(n) the first later stage whose value drops below f(n), this
-    collapses to: t(n) <= m for n <= m, and t(m) > n for n > m.
+    collapses to :func:`_stage_le`: t(n) <= m for n < m, and t(m) > n for n >= m.
 
     Comparabilities are prefix-stable: a longer sequence can only assign a
     witness >= s to stages that had none, and both clauses are insensitive
@@ -180,6 +194,7 @@ class StageOrder:
     def __post_init__(self) -> None:
         if len(self.witness) != len(self.values):
             raise FormatError("witness table length mismatch")
+        object.__setattr__(self, "_t", _witness_times(self.witness))
 
     @property
     def size(self) -> int:
@@ -192,11 +207,7 @@ class StageOrder:
     def leq(self, n: int, m: int) -> bool:
         self._check_stage(n)
         self._check_stage(m)
-        if n == m:
-            return True
-        if n < m:
-            return self.witness[n] is not None and self.witness[n] <= m
-        return self.witness[m] is None or self.witness[m] > n
+        return _stage_le(n, m, self._t[n], self._t[m])
 
     @property
     def ground_truth_false(self) -> frozenset[int]:
@@ -208,11 +219,7 @@ class StageOrder:
         Undercut stages come first by witness time; never-undercut stages
         follow in reverse, which is exactly what the two clauses force.
         """
-        key = lambda n: (
-            self.witness[n] if self.witness[n] is not None else _NO_WITNESS,
-            -n,
-        )
-        return sorted(range(len(self.values)), key=key)
+        return sorted(range(len(self.values)), key=lambda n: (self._t[n], -n))
 
 
 def make_stage_order(f_prefix: Sequence[int]) -> StageOrder:
@@ -225,9 +232,9 @@ def make_stage_order(f_prefix: Sequence[int]) -> StageOrder:
 
 
 # ---------------------------------------------------------------------------
-# Range gadget: stage order glued entirely below a descending reference chain.
-# Even ids 2n carry the stage elements a_n, odd ids 2n+1 the chain b_n with
-# b_n <= b_m iff n >= m; the enumeration interleaves them by id.
+# Range gadget: stage order glued beside a descending reference chain, no stage
+# comparable to any chain element.  Even ids 2n carry the stage elements a_n, odd
+# ids 2n+1 the chain b_n with b_n <= b_m iff n >= m, interleaved by id.
 
 
 @dataclass(frozen=True)
@@ -242,52 +249,44 @@ class RangeGadget:
 def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
     fspec = FunctionSpec.parse(spec) if isinstance(spec, str) else spec
     window = fspec.window
+    # Only head stages are ever undercut, so one slot past the head serves every tail stage.
+    wit = _witness_times(fspec._witness) + [_NO_WITNESS]
+    wit_arr = np.array(wit, dtype=np.int64)
 
-    def wit(n: int) -> int:
-        t = fspec.witness_after(n)
-        return _NO_WITNESS if t is None else t
+    def t(n: int) -> int:
+        if n < 0:
+            raise UnknownIdError(f"stages are non-negative, got {n}")
+        return wit[min(n, window)]
 
     def leq(x: int, y: int) -> bool:
         if x % 2 == 0 and y % 2 == 0:
             n, m = x // 2, y // 2
-            if n <= m:
-                return n == m or wit(n) <= m
-            return wit(m) > n
-        if x % 2 == 1 and y % 2 == 1:
-            return x >= y
-        return False
+            return _stage_le(n, m, t(n), t(m))
+        return x % 2 == 1 and y % 2 == 1 and x >= y
 
     def side(x: int) -> FinSide:
-        if x % 2 == 1:
-            return FinSide.FIN_SUCC
-        return (
-            FinSide.FIN_PRED
-            if fspec.witness_after(x // 2) is not None
-            else FinSide.FIN_SUCC
-        )
-
-    # Only head stages are ever undercut; the sentinel stands for "never".
-    head_wit = [wit(n) for n in range(window)]
+        if x % 2 == 0 and t(x // 2) != _NO_WITNESS:
+            return FinSide.FIN_PRED
+        return FinSide.FIN_SUCC
 
     def predecessors(x: int) -> list[int] | None:
         if x % 2 == 1:
             return None  # everything earlier in the chain sits above
         n = x // 2
-        t = fspec.witness_after(n)
-        if t is None:
+        if t(n) == _NO_WITNESS:
             return None
         # n is undercut, so n and every stage before it lie in the head.
-        early = [2 * m for m in range(n) if head_wit[m] <= n]
-        return early + list(range(2 * n, 2 * t, 2))
+        early = [2 * m for m in range(n) if t(m) <= n]
+        return early + list(range(2 * n, 2 * t(n), 2))
 
     def successors(x: int) -> list[int] | None:
         if x % 2 == 1:
             return list(range(1, x + 1, 2))
         n = x // 2
-        if fspec.witness_after(n) is not None:
+        if t(n) != _NO_WITNESS:
             return None
         # Stages past the head are never undercut, so all of them up to n lie above.
-        head = [2 * m for m in range(min(n + 1, window)) if head_wit[m] > n]
+        head = [2 * m for m in range(min(n + 1, window)) if t(m) > n]
         return head + list(range(2 * window, x + 1, 2))
 
     def interval(x: int, y: int) -> list[int] | None:
@@ -303,26 +302,20 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return []
         # The gap between an undercut stage and a never-undercut one holds
         # cofinitely many stages.
-        if fspec.witness_after(low) is not None and fspec.witness_after(high) is None:
+        if t(low) != _NO_WITNESS and t(high) == _NO_WITNESS:
             return None
-        if fspec.witness_after(high) is not None:
+        if t(high) != _NO_WITNESS:
             # Both ends are undercut, so they and everything between lie in the head.
             return [p for p in range(0, 2 * window, 2) if leq(2 * low, p) and leq(p, 2 * high)]
         # Neither end is undercut: between them lie the never-undercut stages
         # from high up to low.
-        head = [2 * p for p in range(high, min(low + 1, window)) if head_wit[p] == _NO_WITNESS]
+        head = [2 * p for p in range(high, min(low + 1, window)) if t(p) == _NO_WITNESS]
         return head + list(range(2 * max(high, window), 2 * low + 1, 2))
 
-    # One sentinel slot past the head keeps the vector lookup total.
-    head_wit_arr = np.array(head_wit + [_NO_WITNESS], dtype=np.int64)
-
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ni, nj, ei, ej = a // 2, b // 2, a % 2 == 0, b % 2 == 0
-        wi = np.where(ei & (ni < window), head_wit_arr[np.minimum(ni, window)], _NO_WITNESS)
-        wj = np.where(ej & (nj < window), head_wit_arr[np.minimum(nj, window)], _NO_WITNESS)
-        a_rel = ((ni < nj) & (wi <= nj)) | ((ni >= nj) & (wj > ni))
-        b_rel = ni >= nj
-        return np.where(ei & ej, a_rel, np.where(~ei & ~ej, b_rel, False))
+        n, m, ea, eb = a // 2, b // 2, a % 2 == 0, b % 2 == 0
+        t_n, t_m = wit_arr[np.minimum(n, window)], wit_arr[np.minimum(m, window)]
+        return (ea & eb & _stage_le(n, m, t_n, t_m)) | (~ea & ~eb & (a >= b))
 
     stream = StreamPoset(
         lambda s: s,

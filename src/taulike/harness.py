@@ -33,18 +33,21 @@ MAX_EXHAUSTIVE = 10  # default size guard for full enumeration
 MAX_RANDOM = 64  # default size guard for random generation
 
 
+def _strict_graph(poset: FinitePoset) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Per element, the count of its strict predecessors and the list of its strict successors."""
+    strict = poset.matrix & ~np.eye(poset.size, dtype=bool)
+    els = poset.elements
+    indeg = dict(zip(els, strict.sum(axis=0).tolist()))
+    succs = {x: [els[j] for j in np.flatnonzero(row).tolist()] for x, row in zip(els, strict)}
+    return indeg, succs
+
+
 def iter_linear_extensions(poset: FinitePoset) -> Iterator[tuple[int, ...]]:
     """Yield every linear extension, backtracking over minimal remaining
     elements in ascending id order (a canonical, deterministic sequence)."""
     order = sorted(poset.elements)
     # indeg[x] counts strict predecessors not yet placed
-    strict_preds = {x: set() for x in order}
-    strict_succs = {x: [] for x in order}
-    for a, b in poset.leq:
-        if a != b:
-            strict_preds[b].add(a)
-            strict_succs[a].append(b)
-    indeg = {x: len(strict_preds[x]) for x in order}
+    indeg, strict_succs = _strict_graph(poset)
     placed: list[int] = []
     n = len(order)
 
@@ -101,12 +104,7 @@ def extension_tree_contains(poset: FinitePoset, order) -> bool:
     seq = tuple(order)
     if set(seq) != set(poset.elements) or len(seq) != poset.size:
         return False
-    indeg = {x: 0 for x in poset.elements}
-    strict_succs = {x: [] for x in poset.elements}
-    for a, b in poset.leq:
-        if a != b:
-            indeg[b] += 1
-            strict_succs[a].append(b)
+    indeg, strict_succs = _strict_graph(poset)
     for x in seq:
         if indeg[x] != 0:
             return False
@@ -153,22 +151,19 @@ def check_tau_like(
     """
     if isinstance(target, FinitePoset):
         # counts are strict: the element itself never witnesses its own bound
-        counts: dict[int, int] = {}
-        for x in target.elements:
-            if kind is Kind.OMEGA:
-                counts[x] = len(target.predecessors(x)) - 1
-            elif kind is Kind.OMEGA_STAR:
-                counts[x] = len(target.successors(x)) - 1
-            elif kind is Kind.OMEGA_PLUS_OMEGA_STAR:
-                counts[x] = min(len(target.predecessors(x)), len(target.successors(x))) - 1
-            else:
-                counts[x] = 0
+        m = target.matrix
+        below, above = m.sum(axis=0) - 1, m.sum(axis=1) - 1
+        strict = {
+            Kind.OMEGA: below,
+            Kind.OMEGA_STAR: above,
+            Kind.OMEGA_PLUS_OMEGA_STAR: np.minimum(below, above),
+        }.get(kind, np.zeros_like(below))
+        counts = dict(zip(target.elements, strict.tolist()))
         max_interval = None
         if kind is Kind.ZETA and target.size:
-            mf = target.matrix.astype(np.float32)
+            mf = m.astype(np.float32)
             # (mf @ mf)[i, j] counts the z with i <= z <= j, exactly below 2**24
             max_interval = int((mf @ mf).max())
-            counts = {x: 0 for x in target.elements}
         return TauReport(kind=kind, ok=True, scope="finite", counts=counts, max_interval=max_interval)
 
     ids = take(target, prefix_size)

@@ -10,6 +10,7 @@ is not finite.  :func:`validate_oracles` cross-checks every promise against
 from __future__ import annotations
 
 import inspect
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -604,6 +605,9 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
 
 
 # -- canonical families ------------------------------------------------------
+# Each canonical family states its order once, as an expression that serves
+# both ``leq`` on ids and the bulk hook on broadcast id arrays.  It avoids ``if``
+# (arrays have no truth value) and ``~`` (``~True`` is -2, not False).
 
 
 def zigzag_encode(value: int) -> int:
@@ -612,12 +616,8 @@ def zigzag_encode(value: int) -> int:
 
 
 def zigzag_decode(code: int) -> int:
-    return code // 2 if code % 2 == 0 else -(code + 1) // 2
-
-
-def _unzig(codes: np.ndarray) -> np.ndarray:
-    """:func:`zigzag_decode` over an array of ids."""
-    return np.where(codes % 2 == 0, codes // 2, -(codes + 1) // 2)
+    """Id -> signed int, the inverse of :func:`zigzag_encode`; also elementwise on int arrays."""
+    return (code >> 1) ^ -(code & 1)
 
 
 def omega_stream() -> StreamPoset:
@@ -629,11 +629,7 @@ def omega_stream() -> StreamPoset:
         side=lambda x: FinSide.FIN_PRED,
     )
     return StreamPoset(
-        lambda s: s,
-        lambda x, y: x <= y,
-        oracles=bundle,
-        name="omega",
-        leq_block=_bulk(lambda a, b: a <= b),
+        lambda s: s, operator.le, oracles=bundle, name="omega", leq_block=_bulk(operator.le)
     )
 
 
@@ -646,11 +642,7 @@ def omega_star_stream() -> StreamPoset:
         side=lambda x: FinSide.FIN_SUCC,
     )
     return StreamPoset(
-        lambda s: s,
-        lambda x, y: x >= y,
-        oracles=bundle,
-        name="omega-star",
-        leq_block=_bulk(lambda a, b: a >= b),
+        lambda s: s, operator.ge, oracles=bundle, name="omega-star", leq_block=_bulk(operator.ge)
     )
 
 
@@ -682,12 +674,15 @@ def zeta_stream(variant: int = 0) -> StreamPoset:
         a, b = sorted((zigzag_decode(x), zigzag_decode(y)))
         return [zigzag_encode(v) for v in range(a, b + 1)]
 
+    def le(a, b):
+        return zigzag_decode(a) <= zigzag_decode(b)
+
     return StreamPoset(
         lambda s: zigzag_encode(_zeta_stage_value(variant, s)),
-        lambda x, y: zigzag_decode(x) <= zigzag_decode(y),
+        le,
         oracles=OracleBundle(interval=interval),
         name=f"zeta.{variant}",
-        leq_block=_bulk(lambda a, b: _unzig(a) <= _unzig(b)),
+        leq_block=_bulk(le),
     )
 
 
@@ -700,21 +695,15 @@ def antichain_stream() -> StreamPoset:
         side=lambda x: FinSide.FIN_PRED,
     )
     return StreamPoset(
-        lambda s: s,
-        lambda x, y: x == y,
-        oracles=bundle,
-        name="antichain",
-        leq_block=_bulk(lambda a, b: a == b),
+        lambda s: s, operator.eq, oracles=bundle, name="antichain", leq_block=_bulk(operator.eq)
     )
 
 
 def omega_plus_omega_star_stream() -> StreamPoset:
     """An ascending chain (even ids) entirely below a descending one (odd ids)."""
 
-    def leq(x: int, y: int) -> bool:
-        if x % 2 == 0:
-            return x <= y if y % 2 == 0 else True
-        return False if y % 2 == 0 else x >= y
+    def le(a, b):
+        return ((a % 2 == 0) & ((b % 2 == 1) | (a <= b))) | ((a % 2 == 1) & (b % 2 == 1) & (a >= b))
 
     def pred(x: int) -> list[int] | None:
         return list(range(0, x + 1, 2)) if x % 2 == 0 else None
@@ -728,13 +717,9 @@ def omega_plus_omega_star_stream() -> StreamPoset:
             return list(range(lo, hi + 1, 2))
         return None  # between the two chains lies an infinite set
 
-    def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ea, eb = a % 2 == 0, b % 2 == 0
-        return (ea & eb & (a <= b)) | (ea & ~eb) | (~ea & ~eb & (a >= b))
-
     return StreamPoset(
         lambda s: s,
-        leq,
+        le,
         oracles=OracleBundle(
             predecessors=pred,
             successors=succ,
@@ -742,7 +727,7 @@ def omega_plus_omega_star_stream() -> StreamPoset:
             side=lambda x: FinSide.FIN_PRED if x % 2 == 0 else FinSide.FIN_SUCC,
         ),
         name="omega-omega-star",
-        leq_block=_bulk(block),
+        leq_block=_bulk(le),
     )
 
 

@@ -270,6 +270,10 @@ def test_usage_errors_exit_two():
     run_cli("gadget", "fuf", expect=2)  # --sets required
     run_cli("gadget", "fuf", "--sets", "1;x", expect=2)
     run_cli("decode", "false-stages", expect=2)  # --f required
+    # a subcommand takes only the flags it reads
+    run_cli("gadget", "range", "--f", "perm:1,0", "--kind", "zeta", "--input", "nothere", "--sets", "x", expect=2)
+    run_cli("gadget", "fuf", "--sets", "1;2", "--elements", "3", expect=2)
+    run_cli("decode", "range", "--f", "identity", "--elements", "3", "--seed", "1", expect=2)
     # budgets, horizons and prefix sizes are natural numbers
     run_cli("linearize", "--kind", "omega", "--family", "omega", "--elements", "-3", expect=2)
     run_cli("linearize", "--kind", "omega", "--family", "omega", "--blocks", "-1", expect=2)
@@ -308,6 +312,14 @@ def test_domain_errors_exit_one(tmp_path):
     bad.write_text("{not json")
     got = run_cli("verify", "--input", str(bad), expect=1)
     assert got["error"]["code"] == "FormatError"
+
+
+def test_decode_range_refuses_a_horizon_short_of_the_top_element():
+    # a_200 is id 400, which the default --horizon of 256 elements stops short of
+    assert run_cli_error("decode", "range", "--f", "identity", "--elements", "200") == {
+        "code": "UnknownIdError",
+        "detail": "embedding does not cover the top element for 200",
+    }
 
 
 def test_out_to_a_missing_directory_prints_only_the_error(tmp_path):
@@ -436,11 +448,11 @@ _SOURCE = ["--input", "--family", "--f", "--sets", "--kind", "--seed", "--out"]
 _GRAMMAR = {
     ("linearize",): (["--kind", "source"], _SOURCE + ["--blocks", "--elements"]),
     ("embed",): (["--kind", "source"], _SOURCE + ["--blocks", "--elements"]),
-    ("gadget", "fuf"): (["--sets"], _SOURCE + ["--elements"]),
-    **{("gadget", what): (["--f"], _SOURCE + ["--elements"]) for what in ("stage", "range", "embed")},
-    ("decode", "fuf"): (["--input"], ["--seed", "--out"]),
-    ("decode", "false-stages"): (["--f"], ["--horizon", "--elements", "--seed", "--out"]),
-    ("decode", "range"): (["--f", "--elements"], ["--horizon", "--seed", "--out"]),
+    ("gadget", "fuf"): (["--sets"], ["--kind", "--out"]),
+    **{("gadget", what): (["--f"], ["--elements", "--out"]) for what in ("stage", "range", "embed")},
+    ("decode", "fuf"): (["--input"], ["--out"]),
+    ("decode", "false-stages"): (["--f"], ["--horizon", "--elements", "--out"]),
+    ("decode", "range"): (["--f", "--elements"], ["--horizon", "--out"]),
     ("verify",): (["source"], _SOURCE + ["--elements"]),
     ("oracle",): (["source"], _SOURCE + ["--elements"]),
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from taulike import (
     szpilrajn_extend,
     validate_oracles,
 )
-from taulike.gadgets import EmbedGadget, FunctionSpec, _witness_table
+from taulike.gadgets import EmbedGadget, FunctionSpec, _stage_le, _witness_times, _witness_table
 from taulike.kinds import FinSide
 from taulike.streams import take
 
@@ -108,6 +109,19 @@ def test_witness_table_matches_naive_scan(head):
 
 
 # -- the stage order ------------------------------------------------------------
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 40), unique=True, max_size=12))
+def test_stage_rule_matches_the_defining_clauses(values):
+    t = _witness_times(_witness_table(values))
+    for n in range(len(values)):
+        for m in range(len(values)):
+            assert _stage_le(n, m, t[n], t[m]) == brute.stage_leq(values, n, m), (values, n, m)
+    n, m = np.indices((len(values),) * 2)
+    t_arr = np.array(t, dtype=np.int64)
+    truth = [[brute.stage_leq(values, a, b) for b in range(len(values))] for a in range(len(values))]
+    assert _stage_le(n, m, t_arr[n], t_arr[m]).tolist() == truth
 
 
 def test_stage_order_identity_is_reversed_chain():
@@ -313,6 +327,13 @@ def test_embed_gadget_predecessors_match_their_definition(text):
 def test_range_gadget_rejects_non_injective():
     with pytest.raises(NotInjective):
         make_range_gadget(FunctionSpec((0, 0, 1)))
+
+
+def test_range_gadget_refuses_negative_stage_ids():
+    s = make_range_gadget("swap:2").stream
+    for call in (lambda: s.leq(-2, 0), lambda: s.leq(0, -4), lambda: s.oracles.side(-2)):
+        with pytest.raises(UnknownIdError):
+            call()
 
 
 # -- false-stage decoding -------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_relation_matrix_block_matches_scalar():
                 for j, y in enumerate(c):
                     assert bool(block[i, j]) == s.leq(x, y), (s.name, x, y)
         assert s.relation_matrix([], cols).shape == (0, len(cols))
+    # far past the gadget heads; odd strides mix every parity pair
+    for s in (
+        omega_plus_omega_star_stream(),
+        make_range_gadget("perm:2,0,3,1;gap:2").stream,
+        make_embed_gadget("perm:2,0,3,1;gap:2").stream,
+    ):
+        rows, cols = list(range(0, 401, 3)), list(range(400, -1, -7))
+        block = s.relation_matrix(rows, cols)
+        for i, x in enumerate(rows):
+            for j, y in enumerate(cols):
+                assert bool(block[i, j]) == s.leq(x, y), (s.name, x, y)
 
 
 def test_one_list_hook_serves_squares_and_leq_serves_rectangles():
@@ -140,6 +151,19 @@ def test_zigzag_pins():
 @pytest.mark.parametrize("value", range(-25, 26))
 def test_zigzag_round_trip(value):
     assert zigzag_decode(zigzag_encode(value)) == value
+
+
+@given(
+    codes=st.lists(st.integers(0, 2**62), max_size=30),
+    values=st.lists(st.integers(-(2**61), 2**61 - 1), max_size=30),
+)
+def test_zigzag_decode_is_one_expression_for_ints_and_arrays(codes, values):
+    decoded = zigzag_decode(np.array(codes, dtype=np.int64))
+    assert decoded.dtype == np.int64
+    assert decoded.tolist() == [zigzag_decode(c) for c in codes]
+    encoded = [zigzag_encode(v) for v in values]
+    assert [zigzag_decode(c) for c in encoded] == values
+    assert zigzag_decode(np.array(encoded, dtype=np.int64)).tolist() == values
 
 
 def test_zeta_variants_present_same_order():
