@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .embed import embed_poset
+from .embed import embed_omega, embed_poset
 from .errors import FormatError, TaulikeError
 from .gadgets import (
     FufGadget,
@@ -32,7 +32,7 @@ from .gadgets import (
 )
 from .harness import check_tau_like, random_poset
 from .kinds import Kind
-from .linearize import linearize, split_linearize, szpilrajn_extend
+from .linearize import assemble, linearize, omega_blocks, split_linearize, szpilrajn_extend
 from .poset import poset_from_json_dict, poset_to_json_dict
 from .streams import (
     STREAM_FAMILIES,
@@ -336,7 +336,11 @@ def _cmd_decode(args, parser) -> dict:
         }
     m = args.elements
     gadget = make_embed_gadget(fspec)
-    emb = embed_poset(gadget.stream, Kind.OMEGA, elements=args.horizon)
+    top = gadget.top_id(m)
+    # Every position is final, so the run can stop once a_m is placed.
+    run = omega_blocks(gadget.stream)
+    _, order = assemble(Kind.OMEGA, run, elements_wanted=args.horizon, until=lambda b: top in b.members)
+    emb = embed_omega(order)
     member = decode_range(emb, fspec.values(args.horizon), m)
     return {
         "schema": "taulike.decode.range/1",

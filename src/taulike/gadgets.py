@@ -85,7 +85,7 @@ class FunctionSpec:
         return self.head[n] if n < len(self.head) else n + self.gap
 
     def values(self, count: int) -> list[int]:
-        return [self.value(n) for n in range(count)]
+        return [*self.head[: max(count, 0)], *range(self.window + self.gap, count + self.gap)]
 
     def in_range(self, m: int) -> bool:
         """Ground truth for "is m a value", by direct evaluation."""
@@ -252,6 +252,9 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
     # Only head stages are ever undercut, so one slot past the head serves every tail stage.
     wit = _witness_times(fspec._witness) + [_NO_WITNESS]
     wit_arr = np.array(wit, dtype=np.int64)
+    # Head values stay below window + gap, so no tail stage undercuts a head
+    # stage: past the head, the head stages above n are the never-undercut ones.
+    never_undercut = [2 * m for m in range(window) if wit[m] == _NO_WITNESS]
 
     def t(n: int) -> int:
         if n < 0:
@@ -259,6 +262,8 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         return wit[min(n, window)]
 
     def leq(x: int, y: int) -> bool:
+        if x < 0 or y < 0:
+            raise UnknownIdError(f"gadget ids are non-negative, got ({x}, {y})")
         if x % 2 == 0 and y % 2 == 0:
             n, m = x // 2, y // 2
             return _stage_le(n, m, t(n), t(m))
@@ -285,9 +290,10 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         n = x // 2
         if t(n) != _NO_WITNESS:
             return None
+        if n < window:
+            return [2 * m for m in range(n + 1) if t(m) > n]
         # Stages past the head are never undercut, so all of them up to n lie above.
-        head = [2 * m for m in range(min(n + 1, window)) if t(m) > n]
-        return head + list(range(2 * window, x + 1, 2))
+        return never_undercut + list(range(2 * window, x + 1, 2))
 
     def interval(x: int, y: int) -> list[int] | None:
         if x % 2 != y % 2:
@@ -313,6 +319,8 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         return head + list(range(2 * max(high, window), 2 * low + 1, 2))
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
+            raise UnknownIdError("gadget ids are non-negative")
         n, m, ea, eb = a // 2, b // 2, a % 2 == 0, b % 2 == 0
         t_n, t_m = wit_arr[np.minimum(n, window)], wit_arr[np.minimum(m, window)]
         return (ea & eb & _stage_le(n, m, t_n, t_m)) | (~ea & ~eb & (a >= b))
@@ -416,6 +424,8 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
     window = fspec.window
 
     def leq(x: int, y: int) -> bool:
+        if x < 0 or y < 0:
+            raise UnknownIdError(f"gadget ids are non-negative, got ({x}, {y})")
         if x == y:
             return True
         if x % 2 == 1 and y % 2 == 0:
@@ -463,6 +473,8 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
         return np.where(n < window, head_vals[np.minimum(n, window)], n + fspec.gap)
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
+            raise UnknownIdError("gadget ids are non-negative")
         fan_below_top = (a % 2 == 1) & (b % 2 == 0) & (fan_value(a) <= b // 2)
         return fan_below_top | (a == b)
 

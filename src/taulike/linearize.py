@@ -11,17 +11,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, filterfalse
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ClassifierInconsistent,
-    FiniteDomainEnd,
-    FormatError,
-    OracleMissing,
-    TooLarge,
-)
+from .errors import ClassifierInconsistent, FiniteDomainEnd, FormatError, OracleMissing, TooLarge
 from .kinds import BlockSide, FinSide, Kind
 from .poset import FinitePoset, LinearOrder
 from .streams import StreamPoset, oracle_answer, read_side, require_oracle, take
@@ -35,6 +29,8 @@ __all__ = [
     "zeta_linearize",
     "split_linearize",
     "linearize",
+    "omega_blocks",
+    "assemble",
 ]
 
 # Liveness guard: stages examined while hunting one pivot.  Honest streams
@@ -125,38 +121,24 @@ def _segment(stream: StreamPoset, members: Sequence[int]) -> list[int]:
 
 
 def _block_run(
-    stream: StreamPoset,
-    kind: Kind,
-    step: Callable[[int], tuple[Iterable[int], BlockSide]],
-    blocks_wanted: int | None,
-    elements_wanted: int | None,
-) -> tuple[BlockSeq, LinearOrder]:
-    """The one block construction behind every block run.
+    stream: StreamPoset, step: Callable[[int], tuple[Iterable[int], BlockSide]]
+) -> Iterator[tuple[Block, list[int]]]:
+    """The one block construction behind every block run, one block per pull.
 
     Each pivot is the least-enumerated id not yet absorbed.  With complete
     oracles that is exactly the pivot eligibility condition of every run
     here, because the absorbed set is the union of the oracle-defined sets
     of all earlier pivots.  ``step(pivot)`` returns the ids the pivot pins
     down and the side its block goes on; the block is the pivot plus those
-    ids minus everything absorbed, sorted, and its segment goes on the left
-    of the order for ``LEFT`` and on the right for ``RIGHT``.  Every run but
-    the rising one anchors signed position 0 at the first pivot.
+    ids minus everything absorbed, sorted, and it comes with its segment.
     """
-    # A block budget wins over an element budget; no budget means run until
-    # the stream is exhausted.
-    if blocks_wanted is not None:
-        elements_wanted = None
     absorbed: set[int] = set()
-    blocks: list[Block] = []
-    positions: deque[int] = deque()
-    emitted = stage = scanned = 0
-    while (blocks_wanted is None or len(blocks) < blocks_wanted) and (
-        elements_wanted is None or emitted < elements_wanted
-    ):
+    stage = scanned = 0
+    while True:
         try:
             pivot = stream.element_at(stage)
         except FiniteDomainEnd:
-            break
+            return
         stage += 1
         if pivot in absorbed:
             scanned += 1
@@ -171,16 +153,50 @@ def _block_run(
         fresh.add(pivot)
         members = sorted(fresh)
         absorbed.update(members)
-        seg = _segment(stream, members)
-        if side is BlockSide.LEFT:
+        yield Block(pivot=pivot, members=tuple(members), side=side), _segment(stream, members)
+
+
+def assemble(
+    kind: Kind, run: Iterable[tuple[Block, list[int]]], blocks_wanted: int | None = None,
+    elements_wanted: int | None = None, *, until: Callable[[Block], bool] | None = None,
+) -> tuple[BlockSeq, LinearOrder]:
+    """Pull blocks off ``run`` while the budget lasts and lay out their order.
+
+    A block budget wins over an element budget; with neither, the run goes
+    to its end.  ``until(block)`` stops the pull after the first block it
+    accepts.  ``LEFT`` segments go on the left, ``RIGHT`` ones on the right,
+    and every run but the rising one anchors signed position 0 at the first
+    pivot.
+    """
+    if blocks_wanted is not None:
+        elements_wanted = None
+    blocks: list[Block] = []
+    positions: deque[int] = deque()
+    run = iter(run)
+    while (blocks_wanted is None or len(blocks) < blocks_wanted) and (
+        elements_wanted is None or len(positions) < elements_wanted
+    ):
+        block, seg = next(run, (None, None))
+        if block is None:
+            break
+        if block.side is BlockSide.LEFT:
             positions.extendleft(reversed(seg))
         else:
             positions.extend(seg)
-        blocks.append(Block(pivot=pivot, members=tuple(members), side=side))
-        emitted += len(members)
+        blocks.append(block)
+        if until is not None and until(block):
+            break
     order = tuple(positions)
     anchor = order.index(blocks[0].pivot) if blocks and kind is not Kind.OMEGA else None
     return BlockSeq(tuple(blocks), kind), LinearOrder(order, anchor_index=anchor)
+
+
+def omega_blocks(stream: StreamPoset) -> Iterator[tuple[Block, list[int]]]:
+    """The ω run of ``stream`` as blocks with their segments, pulled one at a time."""
+    fn = require_oracle(stream, "predecessors")
+    return _block_run(
+        stream, lambda p: (oracle_answer(fn, p, what="predecessors oracle"), BlockSide.RIGHT)
+    )
 
 
 def omega_linearize(
@@ -195,12 +211,7 @@ def omega_linearize(
     blocks; its members are the pivot's predecessors minus earlier blocks.
     The output order concatenates the blocks left to right.
     """
-    fn = require_oracle(stream, "predecessors")
-
-    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
-        return oracle_answer(fn, pivot, what="predecessors oracle"), BlockSide.RIGHT
-
-    return _block_run(stream, Kind.OMEGA, step, blocks_wanted, elements_wanted)
+    return assemble(Kind.OMEGA, omega_blocks(stream), blocks_wanted, elements_wanted)
 
 
 def omega_star_linearize(
@@ -215,11 +226,8 @@ def omega_star_linearize(
     position 0).
     """
     fn = require_oracle(stream, "successors")
-
-    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
-        return oracle_answer(fn, pivot, what="successors oracle"), BlockSide.LEFT
-
-    return _block_run(stream, Kind.OMEGA_STAR, step, blocks_wanted, elements_wanted)
+    run = _block_run(stream, lambda p: (oracle_answer(fn, p, what="successors oracle"), BlockSide.LEFT))
+    return assemble(Kind.OMEGA_STAR, run, blocks_wanted, elements_wanted)
 
 
 def zeta_linearize(
@@ -276,7 +284,7 @@ def zeta_linearize(
             maximal = [m for m in maximal if not stream.leq(m, pivot)] + [pivot]
         return chain.from_iterable(answers), BlockSide.LEFT if above else BlockSide.RIGHT
 
-    return _block_run(stream, Kind.ZETA, step, blocks_wanted, elements_wanted)
+    return assemble(Kind.ZETA, _block_run(stream, step), blocks_wanted, elements_wanted)
 
 
 def _substream(stream: StreamPoset, ids: Sequence[int], label: str) -> StreamPoset:
@@ -300,19 +308,14 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     (side-0 entirely below side-1), tagged with the per-element sides.
     """
     side_fn = require_oracle(stream, "side")
-    horizon = take(stream, elements_wanted)
-    lower: list[int] = []
-    upper: list[int] = []
-    for x in horizon:
+    parts: dict[FinSide, list[int]] = {FinSide.FIN_PRED: [], FinSide.FIN_SUCC: []}
+    for x in take(stream, elements_wanted):
         tag = read_side(side_fn(x), x)
         if tag is None:
             raise OracleMissing(f"side oracle gave no class for element {x}")
-        if tag is FinSide.FIN_PRED:
-            lower.append(x)
-        else:
-            upper.append(x)
-    _, low_order = omega_linearize(_substream(stream, lower, "fin-pred"))
-    _, high_order = omega_star_linearize(_substream(stream, upper, "fin-succ"))
+        parts[tag].append(x)
+    _, low_order = omega_linearize(_substream(stream, parts[FinSide.FIN_PRED], "fin-pred"))
+    _, high_order = omega_star_linearize(_substream(stream, parts[FinSide.FIN_SUCC], "fin-succ"))
 
     emitted_low = list(low_order)
     emitted_high = list(high_order)
@@ -349,12 +352,9 @@ def linearize(
     """Kind-dispatching front door used by the CLI."""
     if blocks is None and elements is None:
         raise FormatError("a blocks or elements budget is required")
-    if kind is Kind.OMEGA:
-        return omega_linearize(stream, blocks, elements_wanted=elements)
-    if kind is Kind.OMEGA_STAR:
-        return omega_star_linearize(stream, blocks, elements_wanted=elements)
-    if kind is Kind.ZETA:
-        return zeta_linearize(stream, blocks, elements_wanted=elements)
+    runs = {Kind.OMEGA: omega_linearize, Kind.OMEGA_STAR: omega_star_linearize, Kind.ZETA: zeta_linearize}
+    if kind in runs:  # looked up per call, so the module names stay rebindable
+        return runs[kind](stream, blocks, elements_wanted=elements)
     if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
         if elements is None:
             raise FormatError("the split construction takes an elements budget")

@@ -47,6 +47,9 @@ POSET_SCHEMA = "taulike.poset/1"
 # Writing obeys the same guard, so every document written here reads back.
 MAX_DOCUMENT_ELEMENTS = 4096
 MAX_DOCUMENT_PAIRS = 64 * MAX_DOCUMENT_ELEMENTS
+# Element ids are the ints 0 <= id < ID_LIMIT, the range of the int64 arrays
+# that relation matrices and oracle audits index by id.
+ID_LIMIT = 1 << 63
 
 
 def pair_id(part: int, member: int) -> int:
@@ -70,8 +73,8 @@ def _index_ids(elements: Sequence[int]) -> dict[int, int]:
     """Position of each id; raises :class:`UnknownIdError` on a bad or repeated id."""
     index: dict[int, int] = {}
     for i, x in enumerate(elements):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise UnknownIdError(f"element ids must be non-negative ints, got {x!r}")
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < ID_LIMIT:
+            raise UnknownIdError(f"element ids must be ints in [0, 2**63), got {x!r}")
         if index.setdefault(x, i) != i:
             raise UnknownIdError(f"duplicate element id {x}")
     return index

@@ -672,7 +672,8 @@ def zeta_stream(variant: int = 0) -> StreamPoset:
 
     def interval(x: int, y: int) -> list[int]:
         a, b = sorted((zigzag_decode(x), zigzag_decode(y)))
-        return [zigzag_encode(v) for v in range(a, b + 1)]
+        # a..b ascending: the odd codes of the negatives, then the even codes of the rest.
+        return [*range(-2 * a - 1, max(-2 * b - 2, 0), -2), *range(max(2 * a, 0), 2 * b + 1, 2)]
 
     def le(a, b):
         return zigzag_decode(a) <= zigzag_decode(b)

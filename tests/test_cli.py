@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taulike.cli
 import taulike.poset
-from taulike import TooLarge
+from taulike import TooLarge, make_embed_gadget
 from taulike.cli import main
 from taulike.poset import (
     MAX_DOCUMENT_ELEMENTS,
@@ -322,6 +324,36 @@ def test_decode_range_refuses_a_horizon_short_of_the_top_element():
     }
 
 
+@pytest.mark.parametrize("spec", ["swap:2", "perm:1,0,2;gap:5"])
+def test_decode_range_stops_once_the_top_element_is_placed(monkeypatch, spec):
+    asked = []
+
+    def counted_gadget(fspec):
+        gadget = make_embed_gadget(fspec)
+        predecessors = gadget.stream.oracles.predecessors
+        gadget.stream.oracles = dataclasses.replace(
+            gadget.stream.oracles, predecessors=lambda x: asked.append(x) or predecessors(x)
+        )
+        return gadget
+
+    monkeypatch.setattr(taulike.cli, "make_embed_gadget", counted_gadget)
+    payloads, counts = [], []
+    for horizon in (64, 256, 1024, 4096):
+        asked.clear()
+        argv = ["decode", "range", "--f", spec, "--elements", "4", "--horizon", str(horizon)]
+        payloads.append(run_cli(*argv))
+        counts.append(len(asked))
+    assert payloads == [payloads[0]] * 4
+    assert counts == [counts[0]] * 4 and asked[-1] == 8  # the last pivot is a_4
+
+
+def test_ids_outside_int64_are_refused(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"elements": [2**70, 3], "relation": [[3, 2**70]]}))
+    for argv in (["oracle"], ["verify"], ["linearize", "--kind", "omega"]):
+        assert run_cli_error(*argv, "--input", str(path))["code"] == "UnknownIdError"
+
+
 def test_out_to_a_missing_directory_prints_only_the_error(tmp_path):
     target = tmp_path / "nodir" / "x.json"
     err = run_cli_error(
@@ -475,6 +507,7 @@ _MALFORMED = {
     "bool-ids": '{"elements": [true, false], "relation": []}',
     "negative-id": '{"elements": [-1], "relation": []}',
     "duplicate-id": '{"elements": [0, 0], "relation": []}',
+    "huge-id": '{"elements": [9223372036854775808, 3], "relation": [[3, 9223372036854775808]]}',
     "short-pair": '{"elements": [0, 1], "relation": [[0]]}',
     "dangling": '{"elements": [0], "relation": [[0, 5]]}',
     "cycle": '{"elements": [0, 1], "relation": [[0, 1], [1, 0]]}',

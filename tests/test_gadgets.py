@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -334,6 +334,46 @@ def test_range_gadget_refuses_negative_stage_ids():
     for call in (lambda: s.leq(-2, 0), lambda: s.leq(0, -4), lambda: s.oracles.side(-2)):
         with pytest.raises(UnknownIdError):
             call()
+
+
+@pytest.mark.parametrize("make", [make_range_gadget, make_embed_gadget])
+def test_gadgets_refuse_negative_ids_in_leq_and_the_hook(make):
+    s = make("swap:2").stream
+    calls = [
+        lambda: s.leq(-1, 0),
+        lambda: s.leq(0, -1),
+        lambda: s.leq(-2, 0),
+        lambda: s.leq(-3, -1),
+        lambda: s.relation_matrix([0, -1, 2]),
+        lambda: s.relation_matrix([0, 2], [-2]),
+        lambda: s.relation_matrix([-1], [0, 1]),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownIdError):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.one_of(
+        st.integers(0, 5).map(lambda k: FunctionSpec.parse(f"swap:{k}").head),
+        st.integers(0, 8).flatmap(lambda w: st.permutations(range(w))),
+    ),
+    gap=st.integers(0, 3),
+)
+@example(head=(), gap=0)
+def test_range_gadget_cones_match_the_stage_rule_through_the_tail(head, gap):
+    f = FunctionSpec(tuple(head), gap)
+    bound = 3 * f.window + 4  # past the head, into the tail
+    values = f.values(bound)
+    oracles = make_range_gadget(f).stream.oracles
+    for n in range(bound):
+        if brute.stage_false(values, n):
+            below = [2 * p for p in range(bound) if brute.stage_leq(values, p, n)]
+            assert (oracles.predecessors(2 * n), oracles.successors(2 * n)) == (below, None), n
+        else:
+            above = [2 * p for p in range(n + 1) if brute.stage_leq(values, n, p)]
+            assert (oracles.predecessors(2 * n), oracles.successors(2 * n)) == (None, above), n
 
 
 # -- false-stage decoding -------------------------------------------------------------

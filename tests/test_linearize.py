@@ -20,6 +20,7 @@ from taulike import (
     OracleMissing,
     TooLarge,
     all_linear_extensions,
+    assemble,
     build_poset,
     chain_poset,
     antichain_poset,
@@ -27,6 +28,7 @@ from taulike import (
     linearize,
     make_fuf_gadget,
     make_range_gadget,
+    omega_blocks,
     omega_linearize,
     omega_star_linearize,
     random_poset,
@@ -596,6 +598,54 @@ def test_pivot_scan_guard_stops_a_stream_without_new_pivots(monkeypatch):
         assert [b.pivot for b in blocks] == [0, 301] and len(order) == 302
     assert messages[0] == messages[1]
     assert "no new pivot within 300 stages" in messages[0]
+
+
+# -- pulled runs ------------------------------------------------------------------
+
+
+def _random_stream(seed: int) -> StreamPoset:
+    return stream_from_finite(random_poset(30, 0.2, seed))
+
+
+_RUNS = [
+    *[(omega_linearize, make) for make in (omega_stream, antichain_stream)],
+    *[(omega_star_linearize, make) for make in (omega_star_stream, antichain_stream)],
+    *[(zeta_linearize, make) for make in (zeta_stream, lambda: zeta_stream(2), omega_stream)],
+    (zeta_linearize, antichain_stream),
+    *[
+        (run, lambda seed=seed: _random_stream(seed))
+        for run in (omega_linearize, omega_star_linearize, zeta_linearize)
+        for seed in range(3)
+    ],
+]
+
+
+@pytest.mark.parametrize("run, make", _RUNS)
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_a_doubled_budget_only_adds_blocks(run, make, k):
+    assert run(make(), 2 * k)[0].blocks[:k] == run(make(), k)[0].blocks
+    short = run(make(), elements_wanted=k)[0].blocks
+    assert run(make(), elements_wanted=2 * k)[0].blocks[: len(short)] == short
+
+
+def test_a_run_pulls_no_block_past_its_budget():
+    asked = []
+
+    def counted():
+        bundle = OracleBundle(predecessors=lambda x: asked.append(x) or list(range(x + 1)))
+        return StreamPoset(lambda s: s, lambda x, y: x <= y, oracles=bundle)
+
+    for budget, expect in (
+        ({"blocks_wanted": 0}, []),
+        ({"elements_wanted": 0}, []),
+        ({"blocks_wanted": 3}, [0, 1, 2]),
+        ({"elements_wanted": 3}, [0, 1, 2]),
+        ({"blocks_wanted": 9, "until": lambda b: b.pivot == 4}, [0, 1, 2, 3, 4]),
+        ({"elements_wanted": 2, "until": lambda b: b.pivot == 4}, [0, 1]),
+    ):
+        asked.clear()
+        blocks, order = assemble(Kind.OMEGA, omega_blocks(counted()), **budget)
+        assert asked == expect == list(order) == [b.pivot for b in blocks], budget
 
 
 # -- the per-layer tracer's hooks -------------------------------------------------

@@ -72,6 +72,15 @@ def test_build_negative_id_rejected():
         build_poset([-1, 0], [])
 
 
+def test_ids_lie_below_two_to_the_63():
+    assert build_poset([2**63 - 1, 3], [(3, 2**63 - 1)]).le(3, 2**63 - 1)
+    for bad in (2**63, 2**70):
+        with pytest.raises(UnknownIdError):
+            build_poset([bad, 3], [])
+        with pytest.raises(UnknownIdError):
+            poset_from_json_dict({"elements": [bad, 3], "relation": [[3, bad]]})
+
+
 @given(
     n=st.integers(0, 24),
     pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),

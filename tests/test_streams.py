@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -164,6 +164,19 @@ def test_zigzag_decode_is_one_expression_for_ints_and_arrays(codes, values):
     encoded = [zigzag_encode(v) for v in values]
     assert [zigzag_decode(c) for c in encoded] == values
     assert zigzag_decode(np.array(encoded, dtype=np.int64)).tolist() == values
+
+
+@given(variant=st.integers(0, 2), a=st.integers(-60, 60), b=st.integers(-60, 60))
+@example(variant=0, a=-9, b=-3)  # all negative
+@example(variant=1, a=4, b=11)  # all positive
+@example(variant=2, a=-5, b=7)  # across zero
+@example(variant=0, a=-6, b=-6)  # x == y
+@example(variant=1, a=0, b=0)
+def test_zeta_interval_is_the_per_id_list(variant, a, b):
+    interval = zeta_stream(variant).oracles.interval
+    x, y = zigzag_encode(a), zigzag_encode(b)
+    low, high = sorted((a, b))
+    assert interval(x, y) == [zigzag_encode(v) for v in range(low, high + 1)]
 
 
 def test_zeta_variants_present_same_order():
