@@ -30,7 +30,7 @@ from .gadgets import (
     make_range_gadget,
     make_stage_order,
 )
-from .harness import check_tau_like, random_poset
+from .harness import check_kinds, random_poset
 from .kinds import Kind
 from .linearize import assemble, linearize, omega_blocks, split_linearize, szpilrajn_extend
 from .poset import poset_from_json_dict, poset_to_json_dict
@@ -369,7 +369,7 @@ def _cmd_verify(args, parser) -> dict:
         target = _make_stream(args, parser)
         name = target.name
     kinds = [Kind(args.kind)] if args.kind else list(Kind)
-    reports = [check_tau_like(target, k, prefix_size=size).to_json_dict() for k in kinds]
+    reports = [r.to_json_dict() for r in check_kinds(target, kinds, prefix_size=size)]
     return {
         "schema": "taulike.verify/1",
         "target": name,

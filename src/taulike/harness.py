@@ -8,20 +8,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError, TooLarge, UnknownIdError
 from .kinds import FinSide, Kind
 from .poset import FinitePoset, build_poset
-from .streams import OracleBundle, PrefixAudit, StreamPoset, read_side, take
+from .streams import OracleBundle, PrefixAudit, StreamPoset, as_id, read_side, take
 
 __all__ = [
     "ExtensionSet",
     "all_linear_extensions",
     "iter_linear_extensions",
     "check_tau_like",
+    "check_kinds",
     "TauReport",
     "random_poset",
     "chain_poset",
@@ -148,70 +149,105 @@ def check_tau_like(
     against the prefix relation, and its size goes into the counts.  A
     :class:`PrefixAudit` screens the answers in bulk and spot-checks the
     stream's bulk hook; a disagreement with ``leq`` is the first note.
+    This is the one-kind case of :func:`check_kinds`.
+    """
+    return check_kinds(target, [kind], prefix_size)[0]
+
+
+_CONE_OF = {Kind.OMEGA: "predecessors", Kind.OMEGA_STAR: "successors"}
+
+
+def check_kinds(
+    target: FinitePoset | StreamPoset, kinds: Sequence[Kind], prefix_size: int = 50
+) -> list[TauReport]:
+    """One :func:`check_tau_like` report per kind, all from one audit of the prefix.
+
+    Each prefix element asks each oracle question once, whichever kinds rely
+    on it: ``side(x)`` when omega-omega-star is checked, then
+    ``predecessors(x)`` and ``successors(x)`` as omega, omega-star or the side
+    ask for them, then ``interval(ids[0], x)`` for zeta.  Each answer is
+    screened once and credited to every kind that relies on it; no answer is
+    kept past its chunk.  A bulk-hook fault found anywhere in the call is the
+    first note of every report.
     """
     if isinstance(target, FinitePoset):
-        # counts are strict: the element itself never witnesses its own bound
-        m = target.matrix
-        below, above = m.sum(axis=0) - 1, m.sum(axis=1) - 1
-        strict = {
-            Kind.OMEGA: below,
-            Kind.OMEGA_STAR: above,
-            Kind.OMEGA_PLUS_OMEGA_STAR: np.minimum(below, above),
-        }.get(kind, np.zeros_like(below))
-        counts = dict(zip(target.elements, strict.tolist()))
-        max_interval = None
-        if kind is Kind.ZETA and target.size:
-            mf = m.astype(np.float32)
-            # (mf @ mf)[i, j] counts the z with i <= z <= j, exactly below 2**24
-            max_interval = int((mf @ mf).max())
-        return TauReport(kind=kind, ok=True, scope="finite", counts=counts, max_interval=max_interval)
-
+        return [_finite_report(target, kind) for kind in kinds]
     ids = take(target, prefix_size)
     if not ids:
-        return TauReport(kind=kind, ok=True, scope="prefix", counts={}, notes=[])
+        return [TauReport(kind=kind, ok=True, scope="prefix", counts={}, notes=[]) for kind in kinds]
     bundle = target.oracles or OracleBundle()
     audit = PrefixAudit(target, ids)
     first = ids[0]
-    counts = {}
-    notes: list[str | None] = [None] * len(ids)
+    counts: dict[Kind, dict[int, int]] = {kind: {} for kind in kinds}
+    notes: dict[Kind, list[str | None]] = {kind: [None] * len(ids) for kind in kinds}
+    split = Kind.OMEGA_PLUS_OMEGA_STAR
+    cones = {name: [kind for kind in kinds if _CONE_OF.get(kind) == name] for name in ("predecessors", "successors")}
+    zeta = [Kind.ZETA] if Kind.ZETA in kinds else []
 
     def queries():
         for i, x in enumerate(ids):
-            if kind is Kind.ZETA:
-                fn = bundle.interval
-                yield "interval", 0, i, fn(first, x) if fn else None
-                continue
-            if kind is Kind.OMEGA_PLUS_OMEGA_STAR:
+            asks = {name: list(credited) for name, credited in cones.items()}
+            if split in kinds:
                 try:
                     tag = read_side(bundle.side(x), x) if bundle.side else None
                 except FormatError as exc:
-                    notes[i] = str(exc)
-                    continue
-                if tag is None:
-                    notes[i] = f"element {x} has no side answer"
-                    continue
-                below = tag is FinSide.FIN_PRED
-            else:
-                below = kind is Kind.OMEGA
-            name = "predecessors" if below else "successors"
-            fn = getattr(bundle, name)
-            yield name, i, i, fn(x) if fn else None
+                    notes[split][i] = str(exc)
+                else:
+                    if tag is None:
+                        notes[split][i] = f"element {x} has no side answer"
+                    else:
+                        asks["predecessors" if tag is FinSide.FIN_PRED else "successors"].append(split)
+            for name, credited in asks.items():
+                if credited:
+                    fn = getattr(bundle, name)
+                    yield name, i, i, fn(x) if fn else None, credited
+            if zeta:
+                fn = bundle.interval
+                yield "interval", 0, i, fn(first, x) if fn else None, zeta
 
-    for (name, _, j, ans), found in audit.screen(queries()):
+    for (name, _, j, ans, credited), found in audit.screen(queries()):
         x = ids[j]
-        if ans is None:
-            notes[j] = f"element {x} has no finite answer for {kind.value}"
-            continue
-        # An answer that passed lists nothing twice.
-        counts[x] = len(set(ans) - {x}) if found else len(ans) - (x in ans)
-        if found:
-            v = found[0]
-            more = f" and {len(found) - 1} more" if len(found) > 1 else ""
-            notes[j] = f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}"
-    notes = [note for note in notes if note is not None]
-    if audit.hook_fault is not None:
-        notes.insert(0, f"leq_block disagrees with leq on {audit.hook_fault.subject}")
-    return TauReport(kind=kind, ok=not notes, scope="prefix", counts=counts, notes=notes)
+        for kind in credited:
+            if ans is None:
+                notes[kind][j] = f"element {x} has no finite answer for {kind.value}"
+                continue
+            counts[kind][x] = _others_listed(ans, x, found)
+            if found:
+                v = found[0]
+                more = f" and {len(found) - 1} more" if len(found) > 1 else ""
+                notes[kind][j] = f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}"
+    fault = audit.hook_fault
+    head = [] if fault is None else [f"leq_block disagrees with leq on {fault.subject}"]
+    reports = []
+    for kind in kinds:
+        kept = head + [note for note in notes[kind] if note is not None]
+        reports.append(TauReport(kind=kind, ok=not kept, scope="prefix", counts=counts[kind], notes=kept))
+    return reports
+
+
+def _others_listed(ans: list, x: int, found: list) -> int:
+    """How many ids other than ``x`` an answer lists; one that passed lists nothing twice."""
+    if not found:
+        return len(ans) - (x in ans)
+    return len({as_id(y) for y in ans} - {x, None})
+
+
+def _finite_report(target: FinitePoset, kind: Kind) -> TauReport:
+    # counts are strict: the element itself never witnesses its own bound
+    m = target.matrix
+    below, above = m.sum(axis=0) - 1, m.sum(axis=1) - 1
+    strict = {
+        Kind.OMEGA: below,
+        Kind.OMEGA_STAR: above,
+        Kind.OMEGA_PLUS_OMEGA_STAR: np.minimum(below, above),
+    }.get(kind, np.zeros_like(below))
+    counts = dict(zip(target.elements, strict.tolist()))
+    max_interval = None
+    if kind is Kind.ZETA and target.size:
+        mf = m.astype(np.float32)
+        # (mf @ mf)[i, j] counts the z with i <= z <= j, exactly below 2**24
+        max_interval = int((mf @ mf).max())
+    return TauReport(kind=kind, ok=True, scope="finite", counts=counts, max_interval=max_interval)
 
 
 def random_poset(n: int, density: float, seed: int, max_size: int = MAX_RANDOM) -> FinitePoset:

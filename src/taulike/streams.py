@@ -13,13 +13,14 @@ import inspect
 import operator
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FiniteDomainEnd, FormatError, OracleMissing, UnknownIdError
 from .kinds import FinSide
-from .poset import FinitePoset, order_axiom_faults
+from .poset import ID_LIMIT, FinitePoset, order_axiom_faults
 
 __all__ = [
     "OracleBundle",
@@ -30,6 +31,7 @@ __all__ = [
     "ValidationReport",
     "validate_oracles",
     "check_listing",
+    "as_id",
     "read_side",
     "omega_stream",
     "omega_star_stream",
@@ -265,13 +267,34 @@ _RELATION_FAULTS = {
 }
 
 
+def randbelow(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``count`` draws of ``rng.randrange(n)``: the same values, read in batches.
+
+    For ``0 < n < 2**32``, ``randrange(n)`` keeps the top ``n.bit_length()``
+    bits of each next 32-bit word of the generator until they fall below
+    ``n``.  Each batch asks ``getrandbits`` for as many words as draws are
+    missing, so no word past the last draw is read and ``rng`` is left where
+    the calls would leave it.
+    """
+    if not 0 < n < 1 << 32:
+        raise ValueError(f"randbelow needs 0 < n < 2**32, got {n}")
+    shift = 32 - n.bit_length()
+    parts = [_NO_IDS]  # an int64 result, also for count 0
+    while count:
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4") >> shift
+        parts.append(words[words < n])
+        count -= len(parts[-1])
+    return np.concatenate(parts)
+
+
 def _sample_indices(n: int, cap: int, seed: int) -> list[int]:
     if n <= cap:
         return list(range(n))
     rng = random.Random(seed)
     picked = set(range(min(cap // 3, n)))  # always cover the earliest elements
     while len(picked) < cap:
-        picked.add(rng.randrange(n))
+        # As many draws as are missing can only fill the sample on the last one.
+        picked.update(randbelow(rng, n, cap - len(picked)).tolist())
     return sorted(picked)
 
 
@@ -301,11 +324,26 @@ def check_listing(
 
     ``truth`` holds the prefix ids the answer must list and ``id_set`` the
     whole prefix; listed ids outside the prefix are decided by ``compare``.
-    The answer must list nothing twice, list only elements that pass the
-    comparison, and miss no element of ``truth``.  ``exempt`` ids need not be
-    listed: cone answers may skip the element itself (self-comparability
-    carries no information).  At most ``_MAX_RECORDED`` violations return.
+    The answer must list only ids, nothing twice, only elements that pass the
+    comparison, and miss no element of ``truth``.  An entry that is not an id
+    (see :func:`as_id`) is the one violation reported, and ``compare`` never
+    sees it.  ``exempt`` ids need not be listed: cone answers may skip the
+    element itself (self-comparability carries no information).  At most
+    ``_MAX_RECORDED`` violations return.
     """
+    try:
+        ids = list(map(operator.index, ans))
+        all_ids = not ids or (min(ids) >= 0 and max(ids) < ID_LIMIT)
+    except TypeError:
+        all_ids = False
+    if not all_ids:
+        y = next(y for y in ans if as_id(y) is None)
+        try:
+            y = operator.index(y)
+        except TypeError:
+            pass
+        return [Violation("UNSOUND", oracle, (x, y), "listed element is not an id")]
+    ans = ids
     listed = set(ans)
     if len(listed) != len(ans):
         seen: set[int] = set()
@@ -328,6 +366,19 @@ def check_listing(
     return found
 
 
+def as_id(y) -> int | None:
+    """The id an answer entry lists, or None when it lists none.
+
+    Ids are the ints 0 <= id < ``ID_LIMIT``; a bool or a numpy integer counts
+    as the int it equals, as it does in an int64 array.
+    """
+    try:
+        y = operator.index(y)
+    except TypeError:
+        return None
+    return y if 0 <= y < ID_LIMIT else None
+
+
 def _id_array(ans: list) -> np.ndarray | None:
     """The answer as an int64 array, or None when some entry is not an int."""
     if not ans:
@@ -342,12 +393,13 @@ def _id_array(ans: list) -> np.ndarray | None:
 class PrefixAudit:
     """Oracle answers checked against the relation on a prefix, in bulk.
 
-    :meth:`screen` takes ``(name, i, j, answer)`` queries, where ``name`` is
-    ``predecessors`` or ``successors`` of ``ids[i]`` or ``interval`` of
-    ``ids[i]`` and ``ids[j]``, and clears them a chunk at a time: listed ids
-    are found in the prefix by ``searchsorted``, soundness is read off the
-    truth rows and completeness is ``truth & ~hit``.  The sampled ids an
-    answer lists outside the prefix are decided by one rectangular
+    :meth:`screen` takes ``(name, i, j, answer, ...)`` queries, where ``name``
+    is ``predecessors`` or ``successors`` of ``ids[i]`` or ``interval`` of
+    ``ids[i]`` and ``ids[j]``; items after the answer ride along untouched.
+    It clears them a chunk at a time: the chunk's answers become one id array,
+    listed ids are found in the prefix by ``searchsorted``, soundness is read
+    off the truth rows and completeness is ``truth & ~hit``.  The sampled ids
+    an answer lists outside the prefix are decided by one rectangular
     ``relation_matrix`` per answer.  Only answers that may be faulty go
     through :func:`check_listing`, so violations read as if every answer
     had.  Wherever the stream's bulk hook built a matrix, sampled cells are
@@ -369,8 +421,13 @@ class PrefixAudit:
     def _spot_check(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray, cells: int) -> None:
         if self.hook_fault is not None:
             return
-        for _ in range(min(cells, block.size)):
-            i, j = self.rng.randrange(len(rows)), self.rng.randrange(len(cols))
+        # Cell k is (randrange(len(rows)), randrange(len(cols))), drawn in that order.
+        count = min(cells, block.size)
+        if len(rows) == len(cols):
+            drawn = randbelow(self.rng, len(rows), 2 * count).tolist()
+        else:
+            drawn = [self.rng.randrange(len(axis)) for _ in range(count) for axis in (rows, cols)]
+        for i, j in zip(drawn[::2], drawn[1::2]):
             if bool(block[i, j]) != self.stream.leq(rows[i], cols[j]):
                 self.hook_fault = Violation(
                     "RELATION", "leq", (rows[i], cols[j]), "leq_block disagrees with leq"
@@ -397,45 +454,57 @@ class PrefixAudit:
     def screen(self, queries: Iterable[tuple]) -> Iterator[tuple[tuple, list[Violation] | None]]:
         """Yield ``(query, violations)`` per query in order, ``None`` for an undefined answer.
 
-        Answers are listed as they arrive and checked once a chunk holds
-        ``_CHUNK_IDS`` listed ids or ``_CHUNK_CELLS`` truth cells.
+        Answers are listed as they arrive (a list answer is kept as it is) and
+        checked once a chunk holds ``_CHUNK_IDS`` listed ids or
+        ``_CHUNK_CELLS`` truth cells; the chunk is dropped once it is yielded.
         """
         rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
         batch: list[tuple] = []
         listed = 0
-        for name, i, j, ans in queries:
-            ans = None if ans is None else list(ans)
-            batch.append((name, i, j, ans))
-            listed += len(ans) if ans is not None else 0
+        for q in queries:
+            ans = q[3]
+            if ans is not None:
+                if not isinstance(ans, list):
+                    ans = list(ans)
+                    q = (*q[:3], ans, *q[4:])
+                listed += len(ans)
+            batch.append(q)
             if listed >= _CHUNK_IDS or len(batch) >= rows_cap:
                 yield from self._flush(batch)
                 batch, listed = [], 0
         yield from self._flush(batch)
 
     def _flush(self, batch: list[tuple]):
-        suspect = iter(self._suspects([q for q in batch if q[3] is not None]))
+        flag, truth = self._suspects([q for q in batch if q[3] is not None])
+        r = 0
         for q in batch:
             if q[3] is None:
                 yield q, None
-            else:
-                yield q, self._check(*q) if next(suspect) else []
+                continue
+            yield q, self._check(q, truth[r]) if flag[r] else []
+            r += 1
 
-    def _suspects(self, qs: list[tuple]) -> np.ndarray:
-        """Which answers might fail :func:`check_listing`; the rest pass it."""
+    def _suspects(self, qs: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Which answers might fail :func:`check_listing` (the rest pass it), and their truth rows."""
         n, k = len(self.ids), len(qs)
         flag = np.zeros(k, dtype=bool)
         if not k:
-            return flag
+            return flag, np.zeros((0, n), dtype=bool)
         names = [q[0] for q in qs]
         i = np.array([q[1] for q in qs], dtype=np.int64)
         j = np.array([q[2] for q in qs], dtype=np.int64)
-        arrays = [_id_array(q[3]) for q in qs]
-        for r, a in enumerate(arrays):
-            if a is None:
-                flag[r], arrays[r] = True, _NO_IDS
-        lens = np.array([len(a) for a in arrays], dtype=np.int64)
-        flat = np.concatenate(arrays)
-        del arrays
+        answers = [q[3] for q in qs]
+        # One array for the chunk; answer by answer only to find the malformed ones.
+        flat = _id_array(list(chain.from_iterable(answers)))
+        if flat is None:
+            arrays = [_id_array(ans) for ans in answers]
+            for r, a in enumerate(arrays):
+                if a is None:
+                    flag[r], arrays[r] = True, _NO_IDS
+            answers = arrays
+            flat = np.concatenate(arrays)
+        lens = np.fromiter(map(len, answers), dtype=np.int64, count=k)
+        del answers
         ends = np.cumsum(lens)
         starts = ends - lens
         seg = np.repeat(np.arange(k, dtype=np.int32), lens)
@@ -471,7 +540,7 @@ class PrefixAudit:
         for part in np.split(out, np.flatnonzero(np.diff(seg[out])) + 1) if len(out) else ():
             r = seg[part[0]]
             flag[r] = not self._sound_outside(names[r], i[r], j[r], flat[part].tolist()).all()
-        return flag
+        return flag, truth
 
     def _sound_outside(self, name: str, i: int, j: int, zs: list[int]) -> np.ndarray:
         x = self.ids[i]
@@ -483,11 +552,12 @@ class PrefixAudit:
         up, down = self._rect([x, y], zs), self._rect(zs, [x, y])
         return (up[0] & down[:, 1]) | (up[1] & down[:, 0])
 
-    def _check(self, name: str, i: int, j: int, ans: list) -> list[Violation]:
+    def _check(self, q: tuple, row: np.ndarray) -> list[Violation]:
+        """:func:`check_listing` on one query, given its truth row."""
+        name, i, j, ans = q[:4]
         ids, leq = self.ids, self.stream.leq
         x = ids[i]
-        row = self._truth([name], np.array([i]), np.array([j]))[0]
-        truth = {ids[k] for k in np.nonzero(row)[0]}
+        truth = {ids[k] for k in np.flatnonzero(row).tolist()}
         if name == "interval":
             y = ids[j]
             compare = lambda z: (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))  # noqa: E731
@@ -551,11 +621,10 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
         if n <= _FULL_CHECK_INTERVAL:
             pairs = [(i, j) for i in range(n) for j in range(n)]
         else:
-            rng = random.Random(s * 101 + 3)
             head = min(40, n)
             pairs = [(i, j) for i in range(head) for j in range(head)]
-            while len(pairs) < head * head + 2000:
-                pairs.append((rng.randrange(n), rng.randrange(n)))
+            drawn = randbelow(random.Random(s * 101 + 3), n, 2 * 2000).tolist()
+            pairs += zip(drawn[::2], drawn[1::2])
         count = 0
         und = 0
         queries = (("interval", i, j, bundle.interval(ids[i], ids[j])) for i, j in pairs)

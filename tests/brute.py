@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
+
 
 def closure_pairs(elements, pairs) -> set[tuple[int, int]]:
     """Reflexive-transitive closure by repeated composition."""
@@ -169,13 +171,19 @@ def listing_faults(oracle, x, ans, truth, compare, prefix, exempt=(), cap=50, so
     """The rule one oracle answer about ``x`` must pass, restated.
 
     ``truth`` holds the prefix ids the answer owes, ``prefix`` all prefix
-    ids; a listed id outside the prefix is decided by ``compare``.  A
-    repeated id is the only fault reported; otherwise every listed id (every
+    ids; a listed id outside the prefix is decided by ``compare``.  The
+    first entry that is not an id, and failing that a repeated id, is the
+    only fault reported; otherwise every listed id (every
     ``len // sound_cap``-th one in a longer answer) must pass, and every owed
     id but the ``exempt`` ones must be listed.  At most ``cap`` faults, as
     ``(kind, oracle, subject, detail)``.
     """
     ans = list(ans)
+    for y in ans:
+        if not is_id(y):
+            y = int(y) if isinstance(y, (int, np.integer)) else y
+            return [("UNSOUND", oracle, (x, y), "listed element is not an id")]
+    ans = [int(y) for y in ans]
     seen = set()
     for y in ans:
         if y in seen:
@@ -193,6 +201,11 @@ def listing_faults(oracle, x, ans, truth, compare, prefix, exempt=(), cap=50, so
         if len(found) >= cap:
             return found
     return found
+
+
+def is_id(y) -> bool:
+    """Ids are the ints 0 <= id < 2**63; bools and numpy integers count as the int they equal."""
+    return isinstance(y, (int, np.integer)) and 0 <= int(y) < 2**63
 
 
 def listing_rule(ids, leq, name, i, j):
@@ -246,7 +259,7 @@ def tau_each_answer(ids, leq, kind, answer):
             notes.append(f"element {x} has no finite answer for {kind}")
             continue
         ans = list(ans)
-        counts[x] = len(set(ans) - {x})
+        counts[x] = len({int(y) for y in ans if is_id(y)} - {x})
         truth, compare, exempt = listing_rule(ids, leq, name, 0 if kind == "zeta" else i, i)
         found = listing_faults(name, x, ans, truth, compare, set(ids), exempt)
         if found:

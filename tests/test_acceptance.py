@@ -9,8 +9,10 @@ summary by the conftest hook.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 from taulike import (
     FinSide,
@@ -413,3 +415,9 @@ def test_criterion_9_oracle_honesty(record_criterion):
         f"{honest} gadget-stream audits clean at prefixes 100/1000, all 3 "
         f"seeded faults named; {elapsed:.1f}s (cap 10s)",
     )
+
+
+def test_seeded_fault_reports_are_pinned():
+    # The golden file pins the order of the violations, not only their kinds.
+    golden = json.loads((Path(__file__).parent / "golden" / "oracle_seeded_faults.json").read_text())
+    assert {kind: validate_oracles(stream, 150).to_json_dict() for stream, kind in _fault_fixtures()} == golden

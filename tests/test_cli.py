@@ -100,6 +100,20 @@ def test_golden_linearize_zeta_fence():
     assert got == golden("linearize_zeta_fence.json")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("oracle", "--family", "range-gadget", "--f", "swap:2"), "oracle_range_gadget.json"),
+        (("oracle", "--family", "embed-gadget", "--f", "swap:2"), "oracle_embed_gadget.json"),
+        (("verify", "--family", "omega-omega-star"), "verify_omega_omega_star.json"),
+        (("verify", "--family", "zeta"), "verify_zeta.json"),
+    ],
+)
+def test_golden_audits(argv, name):
+    # 150 elements: past the 120-element switch, so the sampled interval pairs are pinned too
+    assert run_cli(*argv, "--elements", "150") == golden(name)
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [*CLI, "linearize", "--kind", "omega", "--family", "omega", "--blocks", "4"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,19 +19,25 @@ from taulike import (
     all_linear_extensions,
     antichain_poset,
     chain_poset,
+    check_kinds,
     check_tau_like,
     extension_tree_contains,
     fence_poset,
     is_linear_extension,
+    make_embed_gadget,
+    make_fuf_gadget,
+    make_range_gadget,
     random_poset,
     szpilrajn_extend,
 )
 from taulike.streams import (
+    STREAM_FAMILIES,
     OracleBundle,
     StreamPoset,
     omega_plus_omega_star_stream,
     omega_stream,
     stream_from_finite,
+    take,
 )
 
 
@@ -164,6 +171,70 @@ def test_report_missing_oracle_not_ok():
     s = StreamPoset(lambda st: st, lambda x, y: x <= y, name="bare")
     report = check_tau_like(s, Kind.OMEGA, prefix_size=5)
     assert not report.ok
+
+
+# -- one audit for every kind -------------------------------------------------------
+
+_AUDITED = {
+    **STREAM_FAMILIES,
+    "range-gadget": lambda: make_range_gadget("swap:2").stream,
+    "embed-gadget": lambda: make_embed_gadget("perm:1,0,3,2").stream,
+    **{
+        f"fuf-{variant.value}": (lambda profile=profile, variant=variant: make_fuf_gadget(profile, variant).stream())
+        for profile, variant in (([1, 2], Kind.OMEGA), ([2, 0, 3], Kind.OMEGA_STAR), ([1, 1, 1], Kind.ZETA))
+    },
+}
+
+
+def _counting(stream: StreamPoset) -> Counter:
+    """Wrap the stream's oracles; the counter tallies each (oracle, arguments) asked."""
+    asked: Counter = Counter()
+
+    def wrap(name, fn):
+        def counted(*args):
+            asked[name, args] += 1
+            return fn(*args)
+
+        return counted if fn is not None else None
+
+    bundle = stream.oracles
+    names = ("predecessors", "successors", "interval", "side")
+    stream.oracles = OracleBundle(**{name: wrap(name, getattr(bundle, name)) for name in names})
+    return asked
+
+
+@pytest.mark.parametrize("size", [50, 150])
+@pytest.mark.parametrize("family", list(_AUDITED))
+def test_one_audit_reports_what_one_audit_per_kind_reports(family, size):
+    make = _AUDITED[family]
+    together = check_kinds(make(), list(Kind), size)
+    apart = [check_tau_like(make(), kind, size) for kind in Kind]
+    assert [r.to_json_dict() for r in together] == [r.to_json_dict() for r in apart]
+
+
+@pytest.mark.parametrize("family", list(_AUDITED))
+def test_one_audit_asks_each_oracle_question_once(family):
+    stream = _AUDITED[family]()
+    asked = _counting(stream)
+    check_kinds(stream, list(Kind), 60)
+    assert asked and max(asked.values()) == 1
+    sides = sum(count for (name, _), count in asked.items() if name == "side")
+    assert sides == (len(take(stream, 60)) if stream.oracles.side else 0)
+
+
+def test_a_hook_fault_found_in_one_audit_heads_every_report():
+    # The hook lies on the prefix square, so the first spot check finds it.
+    s = StreamPoset(
+        lambda st: st,
+        lambda x, y: x <= y,
+        oracles=omega_stream().oracles,
+        leq_block=lambda rows, cols=None: np.ones((len(rows), len(rows if cols is None else cols)), dtype=bool),
+        name="all-true",
+    )
+    reports = check_kinds(s, list(Kind), 20)
+    (head,) = {r.notes[0] for r in reports}
+    assert head.startswith("leq_block disagrees with leq on (")
+    assert not any(r.ok for r in reports)
 
 
 # -- lying bundles -----------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from taulike import (
     FormatError,
     Kind,
     build_poset,
+    make_embed_gadget,
+    make_range_gadget,
     check_tau_like,
     random_poset,
     validate_oracles,
@@ -22,6 +25,7 @@ from taulike import (
 from taulike.kinds import FinSide
 from taulike.streams import (
     OracleBundle,
+    PrefixAudit,
     StreamPoset,
     antichain_stream,
     check_listing,
@@ -29,6 +33,7 @@ from taulike.streams import (
     omega_star_stream,
     omega_stream,
     prefix,
+    randbelow,
     read_side,
     stream_from_finite,
     take,
@@ -578,3 +583,195 @@ def test_long_answers_are_sampled_like_the_per_answer_rule(hook):
     report = validate_oracles(stream, 5)
     assert [(v.kind, v.subject) for v in report.violations] == [("UNSOUND", (x, x + 1)) for x in take(stream, 5)]
     _assert_per_answer_rule(stream, 5)
+
+
+# -- entries that are not ids ---------------------------------------------------
+
+# Each entry, and the subject a violation names for it: an int where it is one.
+_NOT_IDS = [
+    (-1, -1),
+    (-3, -3),
+    (np.int64(-2), -2),
+    (2**63, 2**63),
+    (2**64 + 5, 2**64 + 5),
+    ([1], [1]),
+    ("3", "3"),
+    (None, None),
+    (1.0, 1.0),
+    (np.float64(2.0), 2.0),
+]
+
+
+def _with_listing(stream: StreamPoset, at: int, edit) -> StreamPoset:
+    """``stream`` whose ``predecessors(at)`` answer is ``edit(honest answer)``."""
+    honest = stream.oracles.predecessors
+    stream.oracles = dataclasses.replace(
+        stream.oracles, predecessors=lambda x: edit(honest(x)) if x == at else honest(x)
+    )
+    return stream
+
+
+def _assert_not_an_id(stream: StreamPoset, s: int, x: int, subject) -> None:
+    """Both auditors name the one entry of ``x``'s predecessors answer that is not an id."""
+    report = validate_oracles(stream, s)
+    assert [(v.kind, v.oracle, v.subject, v.detail) for v in report.violations] == [
+        ("UNSOUND", "predecessors", (x, subject), "listed element is not an id")
+    ]
+    tau = check_tau_like(stream, Kind.OMEGA, prefix_size=s)
+    assert not tau.ok
+    assert tau.notes == [f"unsound predecessors answer for {x}: listed element is not an id ({subject})"]
+
+
+@pytest.mark.parametrize("hook", ["two", "one", "none"])
+@pytest.mark.parametrize("entry, subject", _NOT_IDS, ids=[repr(e) for e, _ in _NOT_IDS])
+def test_an_entry_that_is_not_an_id_is_unsound(entry, subject, hook):
+    stream = _with_listing(_with_hook(omega_stream(), hook), 4, lambda ans: ans + [entry])
+    _assert_not_an_id(stream, 20, 4, subject)
+    # The count is of the ids listed, so the stray entry adds nothing.
+    assert check_tau_like(stream, Kind.OMEGA, prefix_size=20).counts[4] == 4
+
+
+@pytest.mark.parametrize("entry", [[1], "3", None, 1.0])
+def test_an_answer_of_one_stray_entry_is_unsound(entry):
+    # The honest answer is [1]; [1.0] once passed as if it were that.
+    stream = _with_listing(antichain_stream(), 1, lambda ans: [entry])
+    _assert_not_an_id(stream, 10, 1, entry)
+
+
+def test_a_negative_id_on_the_embed_gadget_is_unsound():
+    # The gadget's leq refuses negative ids, so the audit must decide this
+    # entry without asking it.
+    stream = _with_listing(make_embed_gadget("swap:2").stream, 4, lambda ans: ans + [-1])
+    _assert_not_an_id(stream, 50, 4, -1)
+
+
+def test_a_negative_id_on_every_answer_is_unsound():
+    # operator.le(-3, x) holds, so a comparison would pass every one of them.
+    stream = omega_stream()
+    honest = stream.oracles.predecessors
+    stream.oracles = dataclasses.replace(stream.oracles, predecessors=lambda x: honest(x) + [-3])
+    report = validate_oracles(stream, 20)
+    assert not report.ok
+    assert [v.subject for v in report.violations] == [(x, -3) for x in range(20)]
+    assert {v.detail for v in report.violations} == {"listed element is not an id"}
+    tau = check_tau_like(stream, Kind.OMEGA, prefix_size=20)
+    assert tau.notes == [f"unsound predecessors answer for {x}: listed element is not an id (-3)" for x in range(20)]
+    assert tau.counts == {x: x for x in range(20)}
+
+
+def test_bools_and_numpy_integers_count_as_the_ids_they_equal():
+    def predecessors(x):
+        return [False, True] if x == 1 else [np.int64(y) for y in range(x + 1)]
+
+    stream = StreamPoset(lambda st: st, lambda x, y: x <= y, oracles=OracleBundle(predecessors=predecessors))
+    assert validate_oracles(stream, 12).ok
+    report = check_tau_like(stream, Kind.OMEGA, prefix_size=12)
+    assert report.ok and report.counts == {x: x for x in range(12)}
+
+
+# -- chunk screening against check_listing alone ---------------------------------
+
+_STRAYS = [None, 1.5, 2.0, "3", "x", [1], [], (2,), True, False, -1, -5, np.int64(-4),
+           np.float64(3.0), 2**63, 2**63 + 7, 2**64]
+_EDITS = ["honest", "undefined", "dup", "drop", "outside", "stray", "nest", "bool", "numpy"]
+
+
+def _screened_stream(which: str) -> StreamPoset:
+    if which == "omega":
+        return omega_stream()
+    if which == "zeta":
+        return zeta_stream()
+    if which == "range-gadget":
+        return make_range_gadget("swap:2").stream
+    return StreamPoset(  # hookless: every relation cell comes from leq
+        lambda st: st,
+        lambda x, y: x <= y,
+        oracles=OracleBundle(
+            predecessors=lambda x: list(range(x + 1)),
+            successors=lambda x: list(range(x, x + 5)),  # finite on purpose, so unsound past x + 4
+            interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
+        ),
+        name="hookless",
+    )
+
+
+def _edit(ans, edit: str, k: int, outside: int, stray):
+    if edit == "undefined":
+        return None
+    ans = list(ans or [])
+    at = k % (len(ans) + 1)
+    if edit == "dup" and ans:
+        return ans + [ans[at % len(ans)]]
+    if edit == "drop" and ans:
+        return ans[:at] + ans[at + 1:]
+    if edit == "outside":
+        return ans[:at] + [outside] + ans[at:]
+    if edit == "stray":
+        return ans[:at] + [stray] + ans[at:]
+    if edit == "nest" and ans:
+        return ans[:at] + [[ans[at % len(ans)]]] + ans[at + 1:]
+    if edit == "bool":
+        return [bool(y) if type(y) is int and y in (0, 1) else y for y in ans]
+    if edit == "numpy":
+        return [np.int64(y) if type(y) is int and 0 <= y < 2**63 else y for y in ans]
+    return ans
+
+
+@st.composite
+def _chunks(draw):
+    which = draw(st.sampled_from(["omega", "zeta", "range-gadget", "hookless"]))
+    stream = _screened_stream(which)
+    s = draw(st.integers(1, 30))
+    ids = take(stream, s)
+    bundle = stream.oracles
+    names = [name for name in ("predecessors", "successors", "interval") if getattr(bundle, name)]
+    queries = []
+    for _ in range(draw(st.integers(1, 30))):
+        name = draw(st.sampled_from(names))
+        i = draw(st.integers(0, s - 1))
+        j = draw(st.integers(0, s - 1)) if name == "interval" else i
+        fn = getattr(bundle, name)
+        ans = fn(ids[i], ids[j]) if name == "interval" else fn(ids[i])
+        for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+            outside = max(ids) + draw(st.integers(1, 50))
+            ans = _edit(ans, edit, draw(st.integers(0, 100)), outside, draw(st.sampled_from(_STRAYS)))
+        queries.append((name, i, j, ans))
+    return stream, ids, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_chunks())
+def test_chunk_screening_equals_checking_each_answer_alone(case):
+    stream, ids, queries = case
+    screened = list(PrefixAudit(stream, ids).screen(queries))
+    assert [q for q, _ in screened] == queries
+    for (name, i, j, ans), (_, found) in zip(queries, screened):
+        if ans is None:
+            assert found is None
+            continue
+        truth, compare, exempt = brute.listing_rule(ids, stream.leq, name, i, j)
+        alone = check_listing(name, ids[i], list(ans), truth, compare, set(ids), exempt)
+        assert found == alone
+        assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
+            name, ids[i], ans, truth, compare, set(ids), exempt
+        )
+
+
+# -- batched draws -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 2024])
+def test_randbelow_gives_the_values_of_randrange(seed):
+    for n in range(1, 1001):
+        batched, single = random.Random(seed), random.Random(seed)
+        count = 1 + n % 9
+        assert randbelow(batched, n, count).tolist() == [single.randrange(n) for _ in range(count)]
+        # ... and leaves the generator where the calls leave it
+        assert batched.getrandbits(32) == single.getrandbits(32)
+
+
+def test_randbelow_refuses_bounds_randrange_reads_otherwise():
+    assert randbelow(random.Random(0), 5, 0).tolist() == []
+    for n in (0, -3, 2**32):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0), n, 4)
