@@ -284,9 +284,9 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         early = [2 * m for m in range(n) if t(m) <= n]
         return early + list(range(2 * n, 2 * t(n), 2))
 
-    def successors(x: int) -> list[int] | None:
+    def successors(x: int) -> Sequence[int] | None:
         if x % 2 == 1:
-            return list(range(1, x + 1, 2))
+            return range(1, x + 1, 2)
         n = x // 2
         if t(n) != _NO_WITNESS:
             return None

@@ -225,7 +225,7 @@ def check_kinds(
     return reports
 
 
-def _others_listed(ans: list, x: int, found: list) -> int:
+def _others_listed(ans: Sequence[int], x: int, found: list) -> int:
     """How many ids other than ``x`` an answer lists; one that passed lists nothing twice."""
     if not found:
         return len(ans) - (x in ans)

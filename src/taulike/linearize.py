@@ -120,6 +120,32 @@ def _segment(stream: StreamPoset, members: Sequence[int]) -> list[int]:
     return list(szpilrajn_extend(_induced(stream, members)))
 
 
+def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[int, int]]) -> Iterable[int]:
+    """The ids of ``ids`` not in ``absorbed``; a ``range`` costs its new ids, not its length.
+
+    ``links[s]`` maps y to z when y, y + s, ..., z - s are all absorbed.  A
+    range is walked up from its low end, absorbed runs are jumped along the
+    links, and each id passed is pointed at its run's end: the interval case
+    of path-compressed disjoint-set union.  Other answers are probed id by id.
+    """
+    if not isinstance(ids, range):
+        return filterfalse(absorbed.__contains__, ids)
+    ids = ids[::-1] if ids.step < 0 else ids
+    s, stop, y = ids.step, ids.stop, ids.start
+    link = links.setdefault(s, {})
+    out: list[int] = []
+    while y < stop:
+        passed = []
+        while y < stop and y in absorbed:
+            passed.append(y)
+            y = link.get(y, y + s)
+        link.update(dict.fromkeys(passed, y))
+        if y < stop:
+            out.append(y)
+            y += s
+    return out
+
+
 def _block_run(
     stream: StreamPoset, step: Callable[[int], tuple[Iterable[int], BlockSide]]
 ) -> Iterator[tuple[Block, list[int]]]:
@@ -130,9 +156,11 @@ def _block_run(
     here, because the absorbed set is the union of the oracle-defined sets
     of all earlier pivots.  ``step(pivot)`` returns the ids the pivot pins
     down and the side its block goes on; the block is the pivot plus those
-    ids minus everything absorbed, sorted, and it comes with its segment.
+    ids minus everything absorbed (:func:`_unabsorbed`), sorted, and it
+    comes with its segment.
     """
     absorbed: set[int] = set()
+    links: dict[int, dict[int, int]] = {}
     stage = scanned = 0
     while True:
         try:
@@ -149,7 +177,7 @@ def _block_run(
             continue
         scanned = 0
         ids, side = step(pivot)
-        fresh = set(filterfalse(absorbed.__contains__, ids))
+        fresh = set(_unabsorbed(ids, absorbed, links))
         fresh.add(pivot)
         members = sorted(fresh)
         absorbed.update(members)

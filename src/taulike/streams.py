@@ -2,9 +2,9 @@
 
 A :class:`StreamPoset` is an injective enumeration ``stage -> id`` plus a
 decidable ``leq``.  Oracles, when present, must answer with *complete* finite
-lists; an oracle callable may return ``None`` for an element whose answer set
-is not finite.  :func:`validate_oracles` cross-checks every promise against
-``leq`` by brute force over a prefix.
+lists or ranges of ids; an oracle callable may return ``None`` for an element
+whose answer set is not finite.  :func:`validate_oracles` cross-checks every
+promise against ``leq`` by brute force over a prefix.
 """
 
 from __future__ import annotations
@@ -49,14 +49,15 @@ __all__ = [
 class OracleBundle:
     """Optional finiteness oracles; each answers completely or with ``None``.
 
-    ``predecessors(x)`` lists all y <= x, ``successors(x)`` all y >= x,
-    ``interval(x, y)`` everything between x and y in either orientation,
-    and ``side(x)`` says which cone of x is finite.
+    An answer is a list or a ``range`` of ids.  ``predecessors(x)`` lists
+    all y <= x, ``successors(x)`` all y >= x, ``interval(x, y)`` everything
+    between x and y in either orientation, and ``side(x)`` says which cone
+    of x is finite.
     """
 
-    predecessors: Callable[[int], list[int] | None] | None = None
-    successors: Callable[[int], list[int] | None] | None = None
-    interval: Callable[[int, int], list[int] | None] | None = None
+    predecessors: Callable[[int], Sequence[int] | None] | None = None
+    successors: Callable[[int], Sequence[int] | None] | None = None
+    interval: Callable[[int, int], Sequence[int] | None] | None = None
     side: Callable[[int], FinSide | None] | None = None
 
     def present(self) -> list[str]:
@@ -111,7 +112,7 @@ class StreamPoset:
             if self.size is not None and nxt >= self.size:
                 raise FiniteDomainEnd(nxt)
             x = self._element_at(nxt)
-            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < ID_LIMIT:
                 raise FormatError(f"enumeration produced a non-id value {x!r}")
             if x in self._seen:
                 raise FormatError(f"enumeration repeated element {x} at stage {nxt}")
@@ -314,7 +315,7 @@ def read_side(raw, x: int) -> FinSide | None:
 def check_listing(
     oracle: str,
     x: int,
-    ans: list[int],
+    ans: Sequence[int],
     truth: set[int],
     compare: Callable[[int], bool],
     id_set: set[int],
@@ -454,8 +455,8 @@ class PrefixAudit:
     def screen(self, queries: Iterable[tuple]) -> Iterator[tuple[tuple, list[Violation] | None]]:
         """Yield ``(query, violations)`` per query in order, ``None`` for an undefined answer.
 
-        Answers are listed as they arrive (a list answer is kept as it is) and
-        checked once a chunk holds ``_CHUNK_IDS`` listed ids or
+        Answers are listed as they arrive (a list or ``range`` answer is kept
+        as it is) and checked once a chunk holds ``_CHUNK_IDS`` listed ids or
         ``_CHUNK_CELLS`` truth cells; the chunk is dropped once it is yielded.
         """
         rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
@@ -464,7 +465,7 @@ class PrefixAudit:
         for q in queries:
             ans = q[3]
             if ans is not None:
-                if not isinstance(ans, list):
+                if not isinstance(ans, (list, range)):
                     ans = list(ans)
                     q = (*q[:3], ans, *q[4:])
                 listed += len(ans)
@@ -692,7 +693,7 @@ def zigzag_decode(code: int) -> int:
 def omega_stream() -> StreamPoset:
     """The naturals with their usual order; every lower cone is finite."""
     bundle = OracleBundle(
-        predecessors=lambda x: list(range(x + 1)),
+        predecessors=lambda x: range(x + 1),
         successors=None,
         interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
         side=lambda x: FinSide.FIN_PRED,
@@ -706,7 +707,7 @@ def omega_star_stream() -> StreamPoset:
     """The naturals reversed; every upper cone is finite."""
     bundle = OracleBundle(
         predecessors=None,
-        successors=lambda x: list(range(x + 1)),
+        successors=lambda x: range(x + 1),
         interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
         side=lambda x: FinSide.FIN_SUCC,
     )
@@ -775,11 +776,11 @@ def omega_plus_omega_star_stream() -> StreamPoset:
     def le(a, b):
         return ((a % 2 == 0) & ((b % 2 == 1) | (a <= b))) | ((a % 2 == 1) & (b % 2 == 1) & (a >= b))
 
-    def pred(x: int) -> list[int] | None:
-        return list(range(0, x + 1, 2)) if x % 2 == 0 else None
+    def pred(x: int) -> range | None:
+        return range(0, x + 1, 2) if x % 2 == 0 else None
 
-    def succ(x: int) -> list[int] | None:
-        return list(range(1, x + 1, 2)) if x % 2 == 1 else None
+    def succ(x: int) -> range | None:
+        return range(1, x + 1, 2) if x % 2 == 1 else None
 
     def interval(x: int, y: int) -> list[int] | None:
         if x % 2 == y % 2:

@@ -7,6 +7,7 @@ Expected values frozen into tests were produced by these functions.
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import permutations
 
 import numpy as np
@@ -267,3 +268,19 @@ def tau_each_answer(ids, leq, kind, answer):
             more = f" and {len(found) - 1} more" if len(found) > 1 else ""
             notes.append(f"{fault.lower()} {name} answer for {x}: {detail} ({subject[1]}){more}")
     return counts, notes
+
+
+def listed_oracles(stream):
+    """``stream`` whose cone and interval oracles answer ``list(...)`` of what they did.
+
+    The reference for a stream whose oracles answer with ``range``s.
+    """
+
+    def listing(fn):
+        return fn and (lambda *args: None if (ans := fn(*args)) is None else list(ans))
+
+    o = stream.oracles
+    stream.oracles = dataclasses.replace(
+        o, predecessors=listing(o.predecessors), successors=listing(o.successors), interval=listing(o.interval)
+    )
+    return stream

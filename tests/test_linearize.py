@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import operator
 import random
 from itertools import permutations
 
@@ -23,6 +24,7 @@ from taulike import (
     assemble,
     build_poset,
     chain_poset,
+    embed_poset,
     antichain_poset,
     is_linear_extension,
     linearize,
@@ -37,6 +39,7 @@ from taulike import (
     zeta_linearize,
 )
 from taulike.kinds import BlockSide, FinSide
+from taulike.linearize import _block_run
 from taulike.streams import (
     OracleBundle,
     StreamPoset,
@@ -646,6 +649,50 @@ def test_a_run_pulls_no_block_past_its_budget():
         asked.clear()
         blocks, order = assemble(Kind.OMEGA, omega_blocks(counted()), **budget)
         assert asked == expect == list(order) == [b.pivot for b in blocks], budget
+
+
+# -- range answers ---------------------------------------------------------------
+
+_ANSWERS = st.one_of(
+    st.builds(range, st.integers(0, 40), st.integers(-1, 40), st.sampled_from([1, 2, 3, -1, -2, -3])),
+    st.lists(st.integers(0, 40), max_size=12),
+)
+
+
+def _run_of_answers(order: list[int], answers: list, listed: bool) -> list:
+    """Every block of a run whose k-th step answers ``answers[k % len(answers)]``."""
+    stream = StreamPoset(lambda s: order[s], operator.le, size=len(order))
+    asked = iter(range(len(order)))
+
+    def step(pivot: int):
+        ans = answers[next(asked) % len(answers)]
+        return (list(ans) if listed else ans), BlockSide.RIGHT
+
+    return list(_block_run(stream, step))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(range(30)), st.lists(_ANSWERS, min_size=1, max_size=30))
+def test_range_answers_give_the_blocks_of_their_listings(order, answers):
+    # Steps of either sign, empty and overlapping ranges, lists among them.
+    assert _run_of_answers(order, answers, False) == _run_of_answers(order, answers, True)
+
+
+@pytest.mark.parametrize(
+    "make, kind, x",
+    [
+        (omega_stream, Kind.OMEGA, 4),
+        (omega_star_stream, Kind.OMEGA_STAR, 4),
+        (omega_plus_omega_star_stream, Kind.OMEGA_PLUS_OMEGA_STAR, 5),
+        (lambda: make_range_gadget("perm:2,5,1,7,0,4,3,6;gap:2").stream, Kind.OMEGA_PLUS_OMEGA_STAR, 5),
+    ],
+)
+@pytest.mark.parametrize("budget", [0, 1, 7, 500])
+def test_range_answers_give_the_outputs_of_their_listings(make, kind, x, budget):
+    oracles = make().oracles
+    assert isinstance(oracles.predecessors(x) if kind is Kind.OMEGA else oracles.successors(x), range)
+    assert linearize(make(), kind, elements=budget) == linearize(brute.listed_oracles(make()), kind, elements=budget)
+    assert embed_poset(make(), kind, elements=budget) == embed_poset(brute.listed_oracles(make()), kind, elements=budget)
 
 
 # -- the per-layer tracer's hooks -------------------------------------------------

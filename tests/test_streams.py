@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 
 import numpy as np
@@ -18,7 +19,9 @@ from taulike import (
     build_poset,
     make_embed_gadget,
     make_range_gadget,
+    check_kinds,
     check_tau_like,
+    linearize,
     random_poset,
     validate_oracles,
 )
@@ -89,6 +92,24 @@ def test_non_id_enumeration_rejected():
     s = StreamPoset(lambda stage: -1, lambda x, y: True)
     with pytest.raises(FormatError):
         s.element_at(0)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**63, 2**70])
+def test_an_enumerated_non_id_ends_every_run_in_a_format_error(bad):
+    # 2**63 once reached the auditors' int64 arrays and ended in an OverflowError.
+    def stream():
+        oracles = OracleBundle(predecessors=lambda x: [x])
+        return StreamPoset(lambda k: [3, bad][k], lambda x, y: x <= y, oracles=oracles, size=2)
+
+    runs = [
+        lambda s: validate_oracles(s, 2),
+        lambda s: check_tau_like(s, Kind.OMEGA, prefix_size=2),
+        lambda s: linearize(s, Kind.OMEGA, elements=2),
+    ]
+    for run in runs:
+        with pytest.raises(FormatError, match=f"non-id value {bad}$"):
+            run(stream())
+    assert StreamPoset(lambda k: 2**63 - 1, lambda x, y: True).element_at(0) == 2**63 - 1
 
 
 def test_negative_stage_rejected():
@@ -625,7 +646,7 @@ def _assert_not_an_id(stream: StreamPoset, s: int, x: int, subject) -> None:
 @pytest.mark.parametrize("hook", ["two", "one", "none"])
 @pytest.mark.parametrize("entry, subject", _NOT_IDS, ids=[repr(e) for e, _ in _NOT_IDS])
 def test_an_entry_that_is_not_an_id_is_unsound(entry, subject, hook):
-    stream = _with_listing(_with_hook(omega_stream(), hook), 4, lambda ans: ans + [entry])
+    stream = _with_listing(_with_hook(omega_stream(), hook), 4, lambda ans: [*ans, entry])
     _assert_not_an_id(stream, 20, 4, subject)
     # The count is of the ids listed, so the stray entry adds nothing.
     assert check_tau_like(stream, Kind.OMEGA, prefix_size=20).counts[4] == 4
@@ -649,7 +670,7 @@ def test_a_negative_id_on_every_answer_is_unsound():
     # operator.le(-3, x) holds, so a comparison would pass every one of them.
     stream = omega_stream()
     honest = stream.oracles.predecessors
-    stream.oracles = dataclasses.replace(stream.oracles, predecessors=lambda x: honest(x) + [-3])
+    stream.oracles = dataclasses.replace(stream.oracles, predecessors=lambda x: [*honest(x), -3])
     report = validate_oracles(stream, 20)
     assert not report.ok
     assert [v.subject for v in report.violations] == [(x, -3) for x in range(20)]
@@ -657,6 +678,44 @@ def test_a_negative_id_on_every_answer_is_unsound():
     tau = check_tau_like(stream, Kind.OMEGA, prefix_size=20)
     assert tau.notes == [f"unsound predecessors answer for {x}: listed element is not an id (-3)" for x in range(20)]
     assert tau.counts == {x: x for x in range(20)}
+
+
+_RANGE_STREAMS = [
+    omega_stream,
+    omega_star_stream,
+    omega_plus_omega_star_stream,
+    lambda: make_range_gadget("perm:2,5,1,7,0,4,3,6;gap:2").stream,
+]
+
+
+@pytest.mark.parametrize("make", _RANGE_STREAMS)
+def test_range_answers_are_audited_as_their_listings(make):
+    oracles = make().oracles
+    assert isinstance((oracles.successors or oracles.predecessors)(3), range)
+    listed = brute.listed_oracles(make())
+    assert validate_oracles(make(), 150).to_json_dict() == validate_oracles(listed, 150).to_json_dict()
+    assert check_kinds(make(), list(Kind), 150) == check_kinds(listed, list(Kind), 150)
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        lambda x: range(x + 2),  # lists x + 1, which lies above x
+        lambda x: range(1, x + 1),  # misses 0
+        lambda x: range(x, -1, -1),  # the honest ids, top down
+        lambda x: range(x, x + 3),  # x, x + 1 and x + 2
+        lambda x: range(0, x + 1, 2),  # every other id
+        lambda x: range(x + 1) if x % 7 else range(0),  # some answers empty
+    ],
+)
+def test_a_lying_range_answer_is_audited_as_its_listing(lie):
+    def stream(listed: bool) -> StreamPoset:
+        answer = (lambda x: list(lie(x))) if listed else lie
+        return StreamPoset(lambda s: s, operator.le, oracles=OracleBundle(predecessors=answer))
+
+    for s in (20, 150):
+        assert validate_oracles(stream(False), s).to_json_dict() == validate_oracles(stream(True), s).to_json_dict()
+        assert check_tau_like(stream(False), Kind.OMEGA, s) == check_tau_like(stream(True), Kind.OMEGA, s)
 
 
 def test_bools_and_numpy_integers_count_as_the_ids_they_equal():
