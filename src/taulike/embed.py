@@ -52,15 +52,8 @@ class Embedding:
         }
 
 
-def _require_stable(order: LinearOrder) -> None:
-    if order.unstable:
-        shown = sorted(order.unstable)[:4]
-        raise NotStabilized(f"positions of {shown} are not final in this prefix")
-
-
 def embed_omega(order: LinearOrder) -> Embedding:
     """Each element's coordinate is how many elements sit to its left."""
-    _require_stable(order)
     pts = {
         x: CanonicalPoint(Kind.OMEGA, i) for i, x in enumerate(order)
     }
@@ -69,7 +62,6 @@ def embed_omega(order: LinearOrder) -> Embedding:
 
 def embed_omega_star(order: LinearOrder) -> Embedding:
     """Dual coordinate: how many elements sit to the right."""
-    _require_stable(order)
     top = len(order) - 1
     pts = {
         x: CanonicalPoint(Kind.OMEGA_STAR, top - i) for i, x in enumerate(order)
@@ -83,7 +75,6 @@ def embed_omega_plus_omega_star(order: LinearOrder) -> Embedding:
     FIN_PRED elements count from the left end on side 0, FIN_SUCC elements
     from the right end on side 1.
     """
-    _require_stable(order)
     if order.sides is None:
         raise OracleMissing("this order carries no side tags; run a split first")
     top = len(order) - 1
@@ -107,7 +98,6 @@ def embed_omega_plus_omega_star(order: LinearOrder) -> Embedding:
 
 def embed_zeta(order: LinearOrder) -> Embedding:
     """Signed positions relative to the anchor (the first block's pivot)."""
-    _require_stable(order)
     if order.anchor_index is None:
         raise NotStabilized("no anchor position; the two-ended run emitted nothing")
     pts = {
@@ -115,14 +105,6 @@ def embed_zeta(order: LinearOrder) -> Embedding:
         for i, x in enumerate(order)
     }
     return Embedding(Kind.ZETA, pts)
-
-
-_READERS = {
-    Kind.OMEGA: embed_omega,
-    Kind.OMEGA_STAR: embed_omega_star,
-    Kind.OMEGA_PLUS_OMEGA_STAR: embed_omega_plus_omega_star,
-    Kind.ZETA: embed_zeta,
-}
 
 
 def embed_poset(
@@ -134,4 +116,11 @@ def embed_poset(
 ) -> Embedding:
     """Linearize a prefix of ``stream`` and read coordinates off the result."""
     _, order = linearize(stream, kind, blocks=blocks, elements=elements)
-    return _READERS[kind](order)
+    # looked up per call, so the module names stay rebindable
+    readers = {
+        Kind.OMEGA: embed_omega,
+        Kind.OMEGA_STAR: embed_omega_star,
+        Kind.OMEGA_PLUS_OMEGA_STAR: embed_omega_plus_omega_star,
+        Kind.ZETA: embed_zeta,
+    }
+    return readers[kind](order)

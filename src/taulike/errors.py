@@ -65,7 +65,7 @@ class ClassifierInconsistent(TaulikeError):
 
 
 class NotStabilized(TaulikeError):
-    """An embedding was requested for an element whose rank may still move."""
+    """A two-ended embedding was requested from an order with no anchor position."""
 
 
 class NotAnExtension(TaulikeError):

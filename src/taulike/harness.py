@@ -148,7 +148,8 @@ def check_tau_like(
     zeta); every answer must be defined and pass :func:`check_listing`
     against the prefix relation, and its size goes into the counts.  A
     :class:`PrefixAudit` screens the answers in bulk and spot-checks the
-    stream's bulk hook; a disagreement with ``leq`` is the first note.
+    stream's bulk hook; a disagreement with ``leq`` is the first note, and
+    otherwise each partial-order axiom the prefix relation breaks is one.
     This is the one-kind case of :func:`check_kinds`.
     """
     return check_kinds(target, [kind], prefix_size)[0]
@@ -168,7 +169,8 @@ def check_kinds(
     ask for them, then ``interval(ids[0], x)`` for zeta.  Each answer is
     screened once and credited to every kind that relies on it; no answer is
     kept past its chunk.  A bulk-hook fault found anywhere in the call is the
-    first note of every report.
+    first note of every report; without one, each partial-order axiom the
+    prefix relation breaks heads every report.
     """
     if isinstance(target, FinitePoset):
         return [_finite_report(target, kind) for kind in kinds]
@@ -216,8 +218,12 @@ def check_kinds(
                 v = found[0]
                 more = f" and {len(found) - 1} more" if len(found) > 1 else ""
                 notes[kind][j] = f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}"
+    # A lying hook's matrix says nothing about leq, so its note stands alone.
     fault = audit.hook_fault
-    head = [] if fault is None else [f"leq_block disagrees with leq on {fault.subject}"]
+    if fault is not None:
+        head = [f"leq_block disagrees with leq on {fault.subject}"]
+    else:
+        head = [f"{v.detail} {v.subject}" if v.subject else v.detail for v in audit.relation_faults]
     reports = []
     for kind in kinds:
         kept = head + [note for note in notes[kind] if note is not None]

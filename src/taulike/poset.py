@@ -278,14 +278,12 @@ class LinearOrder:
 
     ``anchor_index`` marks signed position 0 for two-ended outputs.
     ``sides`` records per-element finiteness classes when the order came out
-    of a side-split run.  ``unstable`` lists elements whose position is not
-    final (produced only by raw truncation helpers).
+    of a side-split run.
     """
 
     positions: tuple[int, ...]
     anchor_index: int | None = None
     sides: Mapping[int, FinSide] | None = None
-    unstable: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if len(set(self.positions)) != len(self.positions):
@@ -321,21 +319,6 @@ class LinearOrder:
         if self.anchor_index is None:
             raise FormatError("this linear order has no anchor")
         return self.index_of(x) - self.anchor_index
-
-
-def truncate_order(order: LinearOrder, count: int) -> LinearOrder:
-    """Keep the leftmost ``count`` positions, marking the cut edge unstable.
-
-    The result is only for display and error-path tests; embeddings refuse
-    elements in ``unstable``.
-    """
-    kept = order.positions[:count]
-    unstable = frozenset(kept[-1:]) if len(kept) < len(order.positions) else frozenset()
-    anchor = order.anchor_index if order.anchor_index is not None and order.anchor_index < len(kept) else None
-    sides = None
-    if order.sides is not None:
-        sides = {x: order.sides[x] for x in kept if x in order.sides}
-    return LinearOrder(kept, anchor_index=anchor, sides=sides, unstable=unstable)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -405,6 +405,9 @@ class PrefixAudit:
     through :func:`check_listing`, so violations read as if every answer
     had.  Wherever the stream's bulk hook built a matrix, sampled cells are
     compared with ``leq``; the first disagreement is kept in ``hook_fault``.
+    ``relation_faults`` lists what is wrong with the prefix relation itself:
+    a hook fault found on the prefix square, then each partial-order axiom
+    the square breaks.
     """
 
     def __init__(self, stream: StreamPoset, ids: list[int]):
@@ -418,6 +421,10 @@ class PrefixAudit:
         self.hook_fault: Violation | None = None
         if stream._leq_block is not None:
             self._spot_check(ids, ids, self.m, _SPOT_CELLS)
+        self.relation_faults = [self.hook_fault] if self.hook_fault else []
+        for axiom, at in order_axiom_faults(self.m).items():
+            subject = () if axiom == "transitive" else tuple(ids[i] for i in at)
+            self.relation_faults.append(Violation("RELATION", "leq", subject, _RELATION_FAULTS[axiom]))
 
     def _spot_check(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray, cells: int) -> None:
         if self.hook_fault is not None:
@@ -572,77 +579,50 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
 
     Answers are checked for soundness (every listed element really satisfies
     the defining comparison) and prefix-completeness (nothing inside the
-    prefix is missed) by a :class:`PrefixAudit`.  Large prefixes are sampled
-    deterministically; the ``checked`` counters say how much was examined.
+    prefix is missed) by one screen of a :class:`PrefixAudit`: the picked
+    elements' cone answers, then the interval pairs.  Large prefixes are
+    sampled deterministically; the ``checked`` counters say how much was
+    examined.
     """
     ids = take(stream, s)
     n = len(ids)
+    bundle = stream.oracles or OracleBundle()
+    present = bundle.present() if n else []
     report = ValidationReport(stream=stream.name, requested=s, prefix_size=n)
+    report.not_present = [f.name for f in fields(OracleBundle) if f.name not in present]
+    report.undefined, report.checked = dict.fromkeys(present, 0), dict.fromkeys(present, 0)
     if n == 0:
-        report.not_present = ["predecessors", "successors", "interval", "side"]
         return report
 
-    # The bulk hook is an optimization, not an authority: the audit spot-checks it.
+    # The bulk hook is an optimization, not an authority: the audit spot-checks
+    # it, and the relation itself must restrict to a partial order on the prefix.
     audit = PrefixAudit(stream, ids)
-    if audit.hook_fault is not None:
-        report.violations.append(audit.hook_fault)
-
-    # The relation itself must restrict to a partial order on the prefix.
-    for axiom, at in order_axiom_faults(audit.m).items():
-        subject = () if axiom == "transitive" else tuple(ids[i] for i in at)
-        report.violations.append(Violation("RELATION", "leq", subject, _RELATION_FAULTS[axiom]))
-
-    bundle = stream.oracles
-    if bundle is None:
-        report.not_present = ["predecessors", "successors", "interval", "side"]
-        return report
-
-    for name in ("predecessors", "successors", "interval", "side"):
-        if getattr(bundle, name) is None:
-            report.not_present.append(name)
+    report.violations += audit.relation_faults
 
     picked = _sample_indices(n, _FULL_CHECK_ELEMENTS, seed=s * 31 + 7)
-
-    for name in ("predecessors", "successors"):
-        fn = getattr(bundle, name)
-        if fn is None:
-            continue
-        count = 0
-        und = 0
-        for _, found in audit.screen((name, i, i, fn(ids[i])) for i in picked):
-            if found is None:
-                und += 1
-                continue
-            report.violations += found
-            count += 1
-        report.checked[name] = count
-        report.undefined[name] = und
-
-    if bundle.interval is not None:
-        if n <= _FULL_CHECK_INTERVAL:
-            pairs = [(i, j) for i in range(n) for j in range(n)]
-        else:
-            head = min(40, n)
-            pairs = [(i, j) for i in range(head) for j in range(head)]
+    asks = [(name, i, i) for name in ("predecessors", "successors") if name in present for i in picked]
+    if "interval" in present:
+        head = n if n <= _FULL_CHECK_INTERVAL else 40
+        asks += [("interval", i, j) for i in range(head) for j in range(head)]
+        if n > _FULL_CHECK_INTERVAL:
             drawn = randbelow(random.Random(s * 101 + 3), n, 2 * 2000).tolist()
-            pairs += zip(drawn[::2], drawn[1::2])
-        count = 0
-        und = 0
-        queries = (("interval", i, j, bundle.interval(ids[i], ids[j])) for i, j in pairs)
-        for _, found in audit.screen(queries):
-            if found is None:
-                und += 1
-                continue
-            report.violations += found
-            count += 1
-            if len(report.violations) >= 4 * _MAX_RECORDED:
-                break
-        report.checked["interval"] = count
-        report.undefined["interval"] = und
+            asks += [("interval", i, j) for i, j in zip(drawn[::2], drawn[1::2])]
+    queries = (
+        (name, i, j, bundle.interval(ids[i], ids[j]) if name == "interval" else getattr(bundle, name)(ids[i]))
+        for name, i, j in asks
+    )
+    refused: set[tuple[str, int]] = set()  # (oracle, i) of each undefined answer, for the side check
+    for (name, i, _, _), found in audit.screen(queries):
+        if found is None:
+            report.undefined[name] += 1
+            refused.add((name, i))
+            continue
+        report.violations += found
+        report.checked[name] += 1
+        if name == "interval" and len(report.violations) >= 4 * _MAX_RECORDED:
+            break
 
     if bundle.side is not None:
-        count = 0
-        und = 0
         for i in picked:
             x = ids[i]
             try:
@@ -651,22 +631,13 @@ def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:
                 report.violations.append(Violation("INVALID", "side", (x,), str(exc)))
                 continue
             if tag is None:
-                und += 1
+                report.undefined["side"] += 1
                 continue
             cone = "predecessors" if tag is FinSide.FIN_PRED else "successors"
-            cone_fn = getattr(bundle, cone)
-            if cone_fn is not None and cone_fn(x) is None:
-                report.violations.append(
-                    Violation(
-                        "SIDE_INCONSISTENT",
-                        "side",
-                        (x,),
-                        f"side says {tag.value} but {cone} gives no finite answer",
-                    )
-                )
-            count += 1
-        report.checked["side"] = count
-        report.undefined["side"] = und
+            if (cone, i) in refused:
+                detail = f"side says {tag.value} but {cone} gives no finite answer"
+                report.violations.append(Violation("SIDE_INCONSISTENT", "side", (x,), detail))
+            report.checked["side"] += 1
 
     # A rectangle the screen asked for can catch the hook too.
     if audit.hook_fault is not None and audit.hook_fault not in report.violations:

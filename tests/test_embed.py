@@ -20,7 +20,6 @@ from taulike import (
     make_range_gadget,
     omega_linearize,
     split_linearize,
-    truncate_order,
     zeta_linearize,
 )
 from taulike.embed import EMBEDDING_SCHEMA
@@ -47,12 +46,6 @@ def test_embed_omega_fuf_identity_ranks():
     _, order = omega_linearize(gadget.stream(), 5)
     emb = embed_omega(order)
     assert [emb.coord(x) for x in order] == [0, 1, 2, 3, 4]
-
-
-def test_embed_omega_refuses_unstable():
-    cut = truncate_order(LinearOrder((0, 1, 2)), 2)
-    with pytest.raises(NotStabilized):
-        embed_omega(cut)
 
 
 # -- omega-star ranks -----------------------------------------------------------

@@ -29,6 +29,7 @@ from taulike import (
     make_range_gadget,
     random_poset,
     szpilrajn_extend,
+    validate_oracles,
 )
 from taulike.streams import (
     STREAM_FAMILIES,
@@ -167,6 +168,37 @@ def test_report_spot_checks_the_bulk_hook():
     assert len(report.notes) == 1 and report.notes[0].startswith("leq_block disagrees with leq on (")
 
 
+def _near() -> StreamPoset:
+    # predecessors agrees with leq, but leq is no partial order: 0 <= 1 <= 0.
+    return StreamPoset(
+        lambda st: st,
+        lambda x, y: abs(x - y) <= 1,
+        oracles=OracleBundle(predecessors=lambda x: [y for y in (x - 1, x, x + 1) if y >= 0]),
+        name="near",
+    )
+
+
+def _strict() -> StreamPoset:
+    # < is not reflexive; the honest omega answers then list what leq refuses.
+    return StreamPoset(lambda st: st, lambda x, y: x < y, oracles=omega_stream().oracles, name="strict")
+
+
+@pytest.mark.parametrize(
+    "make, head, answer_notes",
+    [
+        (_near, ["relation is not antisymmetric here (0, 1)", "relation is not transitive on the prefix"], 0),
+        (_strict, ["relation is not reflexive here (0,)"], 20),
+    ],
+)
+def test_report_checks_the_partial_order_axioms(make, head, answer_notes):
+    report = check_tau_like(make(), Kind.OMEGA, prefix_size=20)
+    assert not report.ok
+    assert report.notes[: len(head)] == head and len(report.notes) == len(head) + answer_notes
+    assert all(r.notes[: len(head)] == head for r in check_kinds(make(), list(Kind), 20))
+    relation = [v for v in validate_oracles(make(), 20).violations if v.kind == "RELATION"]
+    assert [f"{v.detail} {v.subject}" if v.subject else v.detail for v in relation] == head
+
+
 def test_report_missing_oracle_not_ok():
     s = StreamPoset(lambda st: st, lambda x, y: x <= y, name="bare")
     report = check_tau_like(s, Kind.OMEGA, prefix_size=5)
@@ -220,6 +252,20 @@ def test_one_audit_asks_each_oracle_question_once(family):
     assert asked and max(asked.values()) == 1
     sides = sum(count for (name, _), count in asked.items() if name == "side")
     assert sides == (len(take(stream, 60)) if stream.oracles.side else 0)
+
+
+@pytest.mark.parametrize("family", [family for family, make in _AUDITED.items() if make().oracles.side])
+@pytest.mark.parametrize("size", [1, 60, 120])
+def test_validate_oracles_asks_each_oracle_question_once(family, size):
+    # Up to 120 elements every cone and every interval pair is asked; the
+    # side check reads the cone answer the screen already holds.
+    stream = _AUDITED[family]()
+    asked = _counting(stream)
+    report = validate_oracles(stream, size)
+    assert asked and max(asked.values()) == 1
+    n = report.prefix_size
+    per_oracle = Counter(name for name, _ in asked)
+    assert per_oracle == {name: n * n if name == "interval" else n for name in stream.oracles.present()}
 
 
 def test_a_hook_fault_found_in_one_audit_heads_every_report():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
+import importlib.util
 import operator
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -721,3 +724,56 @@ def test_dispatcher_goes_through_the_rebindable_runs(monkeypatch, kind, make, re
         monkeypatch.setattr(module, name, spy)
     module.linearize(make(), kind, elements=4)
     assert calls[:1] == [reached]
+
+
+@pytest.mark.parametrize(
+    "kind, make, reached",
+    [
+        (Kind.OMEGA, omega_stream, "embed_omega"),
+        (Kind.OMEGA_STAR, omega_star_stream, "embed_omega_star"),
+        (Kind.ZETA, zeta_stream, "embed_zeta"),
+        (Kind.OMEGA_PLUS_OMEGA_STAR, omega_plus_omega_star_stream, "embed_omega_plus_omega_star"),
+    ],
+)
+def test_embed_goes_through_the_rebindable_readers(monkeypatch, kind, make, reached):
+    # bench/tracing.py counts embeddings by rebinding these module names
+    module = importlib.import_module("taulike.embed")
+    calls = []
+    for name in ("embed_omega", "embed_omega_star", "embed_zeta", "embed_omega_plus_omega_star"):
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    module.embed_poset(make(), kind, elements=4)
+    assert calls == [reached]
+
+
+def test_the_tracer_names_resolve():
+    # bench/tracing.py, loaded without installing its tracer
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for prefix, (mod_name, names) in tracing.TIMED_FUNCTIONS.items():
+        module = importlib.import_module(mod_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{prefix}: {mod_name}.{name} is gone"
+    assert list(tracing.ORACLES) == [f.name for f in dataclasses.fields(OracleBundle)]
+    # Every method install() patches with ``self._set(Class, "name", ...)``.
+    classes = {"StreamPoset": StreamPoset, "FinitePoset": importlib.import_module("taulike.poset").FinitePoset}
+    patched = [
+        (call.args[0].id, call.args[1].value)
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "_set"
+        and isinstance(call.args[0], ast.Name)
+        and call.args[0].id in classes
+    ]
+    assert len(patched) >= 7
+    for owner, name in patched:
+        assert name in vars(classes[owner]), f"{owner}.{name} is gone"
+    assert isinstance(vars(classes["FinitePoset"])["from_closed"], classmethod)

@@ -27,7 +27,6 @@ from taulike import (
     poset_from_json_dict,
     poset_to_json_dict,
     random_poset,
-    truncate_order,
     unpair_id,
 )
 from taulike.poset import POSET_SCHEMA
@@ -326,15 +325,6 @@ def test_signed_positions_need_anchor():
         plain.signed_position(0)
     anchored = LinearOrder((5, 6, 7), anchor_index=1)
     assert [anchored.signed_position(x) for x in (5, 6, 7)] == [-1, 0, 1]
-
-
-def test_truncate_marks_cut_edge_unstable():
-    order = LinearOrder((0, 1, 2, 3))
-    cut = truncate_order(order, 2)
-    assert tuple(cut) == (0, 1)
-    assert cut.unstable == {1}
-    whole = truncate_order(order, 4)
-    assert whole.unstable == frozenset()
 
 
 def test_is_linear_extension_chain_true():
