@@ -406,7 +406,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = json.dumps(_DISPATCH[args.command](args, parser))
+        # Each payload is a fresh tree of dicts, lists, ints and strings.
+        text = json.dumps(_DISPATCH[args.command](args, parser), check_circular=False)
         if getattr(args, "out", None):
             Path(args.out).write_text(text + "\n")
         code = 0

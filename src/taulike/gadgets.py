@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kinds import FinSide, Kind
 from .poset import FinitePoset, LinearOrder, build_poset, is_linear_extension
-from .streams import OracleBundle, StreamPoset, _bulk, stream_from_finite
+from .streams import IdRuns, OracleBundle, StreamPoset, _bulk, stream_from_finite
 
 __all__ = [
     "FunctionSpec",
@@ -274,7 +274,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return FinSide.FIN_PRED
         return FinSide.FIN_SUCC
 
-    def predecessors(x: int) -> list[int] | None:
+    def predecessors(x: int) -> IdRuns | None:
         if x % 2 == 1:
             return None  # everything earlier in the chain sits above
         n = x // 2
@@ -282,7 +282,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return None
         # n is undercut, so n and every stage before it lie in the head.
         early = [2 * m for m in range(n) if t(m) <= n]
-        return early + list(range(2 * n, 2 * t(n), 2))
+        return IdRuns((early, range(2 * n, 2 * t(n), 2)))
 
     def successors(x: int) -> Sequence[int] | None:
         if x % 2 == 1:
@@ -293,9 +293,9 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         if n < window:
             return [2 * m for m in range(n + 1) if t(m) > n]
         # Stages past the head are never undercut, so all of them up to n lie above.
-        return never_undercut + list(range(2 * window, x + 1, 2))
+        return IdRuns((never_undercut, range(2 * window, x + 1, 2)))
 
-    def interval(x: int, y: int) -> list[int] | None:
+    def interval(x: int, y: int) -> Sequence[int] | None:
         if x % 2 != y % 2:
             return []
         if x % 2 == 1:
@@ -316,7 +316,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         # Neither end is undercut: between them lie the never-undercut stages
         # from high up to low.
         head = [2 * p for p in range(high, min(low + 1, window)) if t(p) == _NO_WITNESS]
-        return head + list(range(2 * max(high, window), 2 * low + 1, 2))
+        return IdRuns((head, range(2 * max(high, window), 2 * low + 1, 2)))
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.min(initial=0) < 0 or b.min(initial=0) < 0:
@@ -433,20 +433,17 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
             return fspec.value(n) <= y // 2
         return False
 
-    def predecessors(x: int) -> list[int]:
+    def predecessors(x: int) -> Sequence[int]:
         if x % 2 == 1:
             return [x]
         m = x // 2
-        out: list[int] = []
-        for n in range(window):
-            if fspec.value(n) <= m:
-                out.extend(range(_fan_id(n, 0), _fan_id(n, n) + 1, 2))
+        fans = [range(_fan_id(n, 0), _fan_id(n, n) + 1, 2) for n in range(window) if fspec.value(n) <= m]
         # Past the head f(n) = n + gap, so the stages window..m - gap all
         # qualify, and their fans are consecutive odd ids.
         last = m - fspec.gap
         if last >= window:
-            out.extend(range(_fan_id(window, 0), _fan_id(last, last) + 1, 2))
-        return out
+            fans.append(range(_fan_id(window, 0), _fan_id(last, last) + 1, 2))
+        return IdRuns(fans)
 
     def successors(x: int) -> list[int] | None:
         if x % 2 == 0:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FormatError, TooLarge, UnknownIdError
 from .kinds import FinSide, Kind
 from .poset import FinitePoset, build_poset
-from .streams import OracleBundle, PrefixAudit, StreamPoset, as_id, read_side, take
+from .streams import OracleBundle, PrefixAudit, StreamPoset, answer_size, distinct_ids, read_side, take
 
 __all__ = [
     "ExtensionSet",
@@ -234,8 +234,8 @@ def check_kinds(
 def _others_listed(ans: Sequence[int], x: int, found: list) -> int:
     """How many ids other than ``x`` an answer lists; one that passed lists nothing twice."""
     if not found:
-        return len(ans) - (x in ans)
-    return len({as_id(y) for y in ans} - {x, None})
+        return answer_size(ans) - (x in ans)
+    return distinct_ids(ans, x)
 
 
 def _finite_report(target: FinitePoset, kind: Kind) -> TauReport:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ClassifierInconsistent, FiniteDomainEnd, FormatError, OracleMissing, TooLarge
 from .kinds import BlockSide, FinSide, Kind
 from .poset import FinitePoset, LinearOrder
-from .streams import StreamPoset, oracle_answer, read_side, require_oracle, take
+from .streams import IdRuns, StreamPoset, oracle_answer, read_side, require_oracle, take
 
 __all__ = [
     "Block",
@@ -126,8 +126,11 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
     ``links[s]`` maps y to z when y, y + s, ..., z - s are all absorbed.  A
     range is walked up from its low end, absorbed runs are jumped along the
     links, and each id passed is pointed at its run's end: the interval case
-    of path-compressed disjoint-set union.  Other answers are probed id by id.
+    of path-compressed disjoint-set union.  An :class:`IdRuns` is read part by
+    part; other answers are probed id by id.
     """
+    if isinstance(ids, IdRuns):
+        return chain.from_iterable(_unabsorbed(part, absorbed, links) for part in ids.parts)
     if not isinstance(ids, range):
         return filterfalse(absorbed.__contains__, ids)
     ids = ids[::-1] if ids.step < 0 else ids
@@ -135,14 +138,15 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
     link = links.setdefault(s, {})
     out: list[int] = []
     while y < stop:
+        if y not in absorbed:
+            out.append(y)
+            y += s
+            continue
         passed = []
         while y < stop and y in absorbed:
             passed.append(y)
             y = link.get(y, y + s)
         link.update(dict.fromkeys(passed, y))
-        if y < stop:
-            out.append(y)
-            y += s
     return out
 
 

@@ -208,16 +208,20 @@ class FinitePoset:
         return FinitePoset(kept, self.matrix[np.ix_(rows, rows)])
 
     def covers(self) -> list[tuple[int, int]]:
-        """The transitive reduction, sorted; closure recovers ``leq`` exactly.
+        """The transitive reduction, sorted; closure recovers ``leq`` exactly."""
+        return list(map(tuple, self.cover_pairs().tolist()))
+
+    def cover_pairs(self) -> np.ndarray:
+        """The transitive reduction as a sorted ``(k, 2)`` int64 array of ``(lower, upper)`` ids.
 
         A strict pair is a cover when no element lies strictly between, that
         is, strict and not strict·strict (Aho, Garey and Ullman, 1972).
         """
         strict = self.matrix & ~np.eye(self.size, dtype=bool)
         sf = strict.astype(np.float32)
-        ii, jj = np.nonzero(strict & ~(sf @ sf > 0))
-        els = self.elements
-        return sorted((els[i], els[j]) for i, j in zip(ii.tolist(), jj.tolist()))
+        els = np.array(self.elements, dtype=np.int64)
+        pairs = els[np.argwhere(strict & ~(sf @ sf > 0))]
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def build_poset(
@@ -421,7 +425,7 @@ def poset_to_json_dict(poset: FinitePoset, meta: dict | None = None) -> dict:
 
     Raises ``TooLarge`` for a poset whose document the loader would refuse."""
     _check_document_size(poset.size)  # before the covers are computed
-    relation = [list(p) for p in poset.covers()]
+    relation = poset.cover_pairs().tolist()
     _check_document_size(poset.size, len(relation))
     doc: dict = {
         "schema": POSET_SCHEMA,

@@ -2,9 +2,10 @@
 
 A :class:`StreamPoset` is an injective enumeration ``stage -> id`` plus a
 decidable ``leq``.  Oracles, when present, must answer with *complete* finite
-lists or ranges of ids; an oracle callable may return ``None`` for an element
-whose answer set is not finite.  :func:`validate_oracles` cross-checks every
-promise against ``leq`` by brute force over a prefix.
+lists, ranges or :class:`IdRuns` of ids; an oracle callable may return
+``None`` for an element whose answer set is not finite.
+:func:`validate_oracles` cross-checks every promise against ``leq`` by brute
+force over a prefix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .kinds import FinSide
 from .poset import ID_LIMIT, FinitePoset, order_axiom_faults
 
 __all__ = [
+    "IdRuns",
     "OracleBundle",
     "StreamPoset",
     "take",
@@ -45,14 +47,45 @@ __all__ = [
 ]
 
 
+class IdRuns:
+    """An oracle answer in parts, each a ``range`` or a list; it lists their concatenation.
+
+    ``len``, ``in`` and iteration read the parts in order, so whatever reads
+    an answer as a sequence reads its listing.  The audit and the block runs
+    read a ``range`` part off its ends instead of listing it.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Iterable[range | list[int]]):
+        self.parts = tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __contains__(self, y) -> bool:
+        return any(y in part for part in self.parts)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.parts)
+
+    def __repr__(self) -> str:
+        return f"IdRuns({self.parts!r})"
+
+
+def _parts(ans) -> tuple:
+    """The parts of an oracle answer: an :class:`IdRuns`' own, else the answer alone."""
+    return ans.parts if isinstance(ans, IdRuns) else (ans,)
+
+
 @dataclass(frozen=True)
 class OracleBundle:
     """Optional finiteness oracles; each answers completely or with ``None``.
 
-    An answer is a list or a ``range`` of ids.  ``predecessors(x)`` lists
-    all y <= x, ``successors(x)`` all y >= x, ``interval(x, y)`` everything
-    between x and y in either orientation, and ``side(x)`` says which cone
-    of x is finite.
+    An answer is a list, a ``range`` or an :class:`IdRuns` of ids, audited
+    as its listing.  ``predecessors(x)`` lists all y <= x, ``successors(x)``
+    all y >= x, ``interval(x, y)`` everything between x and y in either
+    orientation, and ``side(x)`` says which cone of x is finite.
     """
 
     predecessors: Callable[[int], Sequence[int] | None] | None = None
@@ -158,6 +191,7 @@ def _bulk(rel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         c = r if cols is None else np.asarray(cols, dtype=np.int64)
         return rel(r[:, None], c[None, :])
 
+    hook.takes_arrays = True  # int64 arrays of ids serve as well as lists
     return hook
 
 
@@ -312,6 +346,82 @@ def read_side(raw, x: int) -> FinSide | None:
         raise FormatError(f"side oracle answered {raw!r} for element {x}") from exc
 
 
+class _NotAnId(Exception):
+    """An answer entry that lists no id (``args[0]``): the one violation its answer reports."""
+
+
+def _count(part) -> int:
+    """``len(part)``, also for a ``range`` longer than ``sys.maxsize``."""
+    try:
+        return len(part)
+    except OverflowError:
+        return -((part.start - part.stop) // part.step)
+
+
+def answer_size(ans) -> int:
+    """``len(ans)``, also for an answer longer than ``sys.maxsize``."""
+    try:
+        return len(ans)
+    except OverflowError:
+        return sum(map(_count, _parts(ans)))
+
+
+def _as_ids(part) -> range | list[int]:
+    """An answer part read as ids: a ``range`` as it is, decided from its ends; any other as a list of ints.
+
+    Raises :class:`_NotAnId` with the part's first entry that lists no id.
+    """
+    if isinstance(part, range):
+        if not part or (0 <= part[0] < ID_LIMIT and 0 <= part[-1] < ID_LIMIT):
+            return part
+        if not 0 <= part[0] < ID_LIMIT:
+            raise _NotAnId(part[0])
+        # Monotone: the first entry past the bound on the side it runs to.
+        bound = ID_LIMIT if part.step > 0 else -1
+        raise _NotAnId(part[-((part.start - bound) // part.step)])
+    try:
+        ids = list(map(operator.index, part))
+        if not ids or (min(ids) >= 0 and max(ids) < ID_LIMIT):
+            return ids
+    except TypeError:
+        pass
+    y = next(y for y in part if as_id(y) is None)
+    try:
+        y = operator.index(y)
+    except TypeError:
+        pass
+    raise _NotAnId(y)
+
+
+def _repeat_free(parts: Sequence[range | list[int]]) -> bool:
+    """Do id parts list no id twice, as each is strictly monotone and no two spans meet?"""
+    spans = []
+    for part in filter(None, parts):
+        a, b = part[0], part[-1]
+        if isinstance(part, list) and not all(map(operator.lt if a < b else operator.gt, part, part[1:])):
+            return False
+        spans.append((a, b) if a <= b else (b, a))
+    spans.sort()
+    return all(s[1] < t[0] for s, t in zip(spans, spans[1:]))
+
+
+def distinct_ids(ans, other_than: int) -> int:
+    """How many distinct ids other than ``other_than`` an answer lists; entries that list none do not count."""
+    if isinstance(ans, list):
+        return len({as_id(y) for y in ans} - {other_than, None})
+    parts = []
+    for part in _parts(ans):
+        if isinstance(part, range):
+            up = part if part.step > 0 else part[::-1]
+            up = up[max(0, -(up.start // up.step)) :]  # from its first entry >= 0
+            parts.append(range(up.start, min(up.stop, ID_LIMIT), up.step))
+        else:
+            parts.append([y for y in map(as_id, part) if y is not None])
+    if _repeat_free(parts):
+        return sum(map(_count, parts)) - any(other_than in part for part in parts)
+    return len(set(chain.from_iterable(parts)) - {other_than})
+
+
 def check_listing(
     oracle: str,
     x: int,
@@ -328,23 +438,16 @@ def check_listing(
     The answer must list only ids, nothing twice, only elements that pass the
     comparison, and miss no element of ``truth``.  An entry that is not an id
     (see :func:`as_id`) is the one violation reported, and ``compare`` never
-    sees it.  ``exempt`` ids need not be listed: cone answers may skip the
+    sees it; a ``range`` part is decided from its ends before anything is
+    listed.  ``exempt`` ids need not be listed: cone answers may skip the
     element itself (self-comparability carries no information).  At most
     ``_MAX_RECORDED`` violations return.
     """
     try:
-        ids = list(map(operator.index, ans))
-        all_ids = not ids or (min(ids) >= 0 and max(ids) < ID_LIMIT)
-    except TypeError:
-        all_ids = False
-    if not all_ids:
-        y = next(y for y in ans if as_id(y) is None)
-        try:
-            y = operator.index(y)
-        except TypeError:
-            pass
-        return [Violation("UNSOUND", oracle, (x, y), "listed element is not an id")]
-    ans = ids
+        parts = [_as_ids(part) for part in _parts(ans)]
+    except _NotAnId as exc:
+        return [Violation("UNSOUND", oracle, (x, exc.args[0]), "listed element is not an id")]
+    ans = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
     listed = set(ans)
     if len(listed) != len(ans):
         seen: set[int] = set()
@@ -380,6 +483,12 @@ def as_id(y) -> int | None:
     return y if 0 <= y < ID_LIMIT else None
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[t]`` items of each t, every item's t and its index among those of its t."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _id_array(ans: list) -> np.ndarray | None:
     """The answer as an int64 array, or None when some entry is not an int."""
     if not ans:
@@ -397,13 +506,18 @@ class PrefixAudit:
     :meth:`screen` takes ``(name, i, j, answer, ...)`` queries, where ``name``
     is ``predecessors`` or ``successors`` of ``ids[i]`` or ``interval`` of
     ``ids[i]`` and ``ids[j]``; items after the answer ride along untouched.
-    It clears them a chunk at a time: the chunk's answers become one id array,
-    listed ids are found in the prefix by ``searchsorted``, soundness is read
-    off the truth rows and completeness is ``truth & ~hit``.  The sampled ids
-    an answer lists outside the prefix are decided by one rectangular
-    ``relation_matrix`` per answer.  Only answers that may be faulty go
-    through :func:`check_listing`, so violations read as if every answer
-    had.  Wherever the stream's bulk hook built a matrix, sampled cells are
+    It clears them a chunk at a time: the chunk's list parts become one id
+    array, listed ids are found in the prefix by ``searchsorted``, soundness
+    is read off the truth rows and completeness is ``truth & ~hit``.  A
+    ``range`` part is never listed: its ends decide whether it lists only
+    ids, the entries :func:`check_listing` samples are computed from their
+    offsets, and the prefix ids between its ends that lie on its step are
+    its other prefix hits.  An answer whose parts are strictly monotone with
+    disjoint spans lists no id twice; any other is listed whole and checked
+    for repeats.  The sampled ids an answer lists outside the prefix are
+    decided by one rectangular ``relation_matrix`` per answer.  Only answers
+    that may be faulty go through :func:`check_listing`, so violations read
+    as if every answer had.  Wherever the stream's bulk hook built a matrix, sampled cells are
     compared with ``leq``; the first disagreement is kept in ``hook_fault``.
     ``relation_faults`` lists what is wrong with the prefix relation itself:
     a hook fault found on the prefix square, then each partial-order axiom
@@ -436,13 +550,12 @@ class PrefixAudit:
         else:
             drawn = [self.rng.randrange(len(axis)) for _ in range(count) for axis in (rows, cols)]
         for i, j in zip(drawn[::2], drawn[1::2]):
-            if bool(block[i, j]) != self.stream.leq(rows[i], cols[j]):
-                self.hook_fault = Violation(
-                    "RELATION", "leq", (rows[i], cols[j]), "leq_block disagrees with leq"
-                )
+            x, y = int(rows[i]), int(cols[j])
+            if bool(block[i, j]) != self.stream.leq(x, y):
+                self.hook_fault = Violation("RELATION", "leq", (x, y), "leq_block disagrees with leq")
                 return
 
-    def _rect(self, rows: list[int], cols: list[int]) -> np.ndarray:
+    def _rect(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         block = self.stream.relation_matrix(rows, cols)
         if self.stream._leq_rect is not None:
             self._spot_check(rows, cols, block, _SPOT_RECT_CELLS)
@@ -462,20 +575,23 @@ class PrefixAudit:
     def screen(self, queries: Iterable[tuple]) -> Iterator[tuple[tuple, list[Violation] | None]]:
         """Yield ``(query, violations)`` per query in order, ``None`` for an undefined answer.
 
-        Answers are listed as they arrive (a list or ``range`` answer is kept
-        as it is) and checked once a chunk holds ``_CHUNK_IDS`` listed ids or
-        ``_CHUNK_CELLS`` truth cells; the chunk is dropped once it is yielded.
+        Answers are listed as they arrive (a list, ``range`` or
+        :class:`IdRuns` answer is kept as it is) and checked once a chunk
+        holds ``_CHUNK_IDS`` listed ids or ``_CHUNK_CELLS`` truth cells; the
+        chunk is dropped once it is yielded.
         """
         rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
         batch: list[tuple] = []
         listed = 0
         for q in queries:
             ans = q[3]
-            if ans is not None:
-                if not isinstance(ans, (list, range)):
+            if isinstance(ans, list):
+                listed += len(ans)
+            elif ans is not None:
+                if not isinstance(ans, (range, IdRuns)):
                     ans = list(ans)
                     q = (*q[:3], ans, *q[4:])
-                listed += len(ans)
+                listed += answer_size(ans)
             batch.append(q)
             if listed >= _CHUNK_IDS or len(batch) >= rows_cap:
                 yield from self._flush(batch)
@@ -501,23 +617,70 @@ class PrefixAudit:
         names = [q[0] for q in qs]
         i = np.array([q[1] for q in qs], dtype=np.int64)
         j = np.array([q[2] for q in qs], dtype=np.int64)
+        # Every answer is split into parts, each placed by its answer, its offset
+        # in it and its index: a list or range answer is its own one part.  List
+        # parts become one id array; a range part is kept as (first, step, count).
         answers = [q[3] for q in qs]
-        # One array for the chunk; answer by answer only to find the malformed ones.
-        flat = _id_array(list(chain.from_iterable(answers)))
-        if flat is None:
-            arrays = [_id_array(ans) for ans in answers]
-            for r, a in enumerate(arrays):
-                if a is None:
-                    flag[r], arrays[r] = True, _NO_IDS
-            answers = arrays
-            flat = np.concatenate(arrays)
-        lens = np.fromiter(map(len, answers), dtype=np.int64, count=k)
+        list_r = [r for r, ans in enumerate(answers) if isinstance(ans, list)]
+        lists = [answers[r] for r in list_r]
+        plain = len(lists)
+        list_off, list_no = [0] * plain, [0] * plain
+        runs: list[int] = []  # (answer, offset, index, first, step, count) of each range part, flat
+        sizes: list[int] = []  # (answer, entries) of each other answer, flat
+        for r, ans in enumerate(answers if plain < k else ()):
+            if isinstance(ans, list):
+                continue
+            try:
+                if isinstance(ans, range):  # the common one-part case, without the split
+                    size = _count(_as_ids(ans))
+                    runs += (r, 0, 0, ans[0], ans.step if size > 1 else 1, size) if size else ()
+                    sizes += (r, size)
+                    continue
+                parts = [part for part in map(_as_ids, ans.parts) if part]
+            except _NotAnId:
+                flag[r] = True
+                continue
+            if len(parts) > 1 and not _repeat_free(parts):
+                parts = [list(chain.from_iterable(parts))]
+            offset = 0
+            for t, part in enumerate(parts):
+                size = _count(part)
+                if isinstance(part, list):
+                    lists.append(part)
+                    list_r.append(r)
+                    list_off.append(offset)
+                    list_no.append(t)
+                else:
+                    runs += (r, offset, t, part[0], part.step if size > 1 else 1, size)
+                offset += size
+            sizes += (r, offset)
         del answers
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        seg = np.repeat(np.arange(k, dtype=np.int32), lens)
+        # One array for the chunk's lists; list by list only to find the malformed ones.
+        flat = _id_array(list(chain.from_iterable(lists)))
+        if flat is None:
+            arrays = [_id_array(ans) for ans in lists]
+            for t, a in enumerate(arrays):
+                if a is None:
+                    flag[list_r[t]], arrays[t] = True, _NO_IDS
+            lists = arrays
+            flat = np.concatenate([_NO_IDS, *arrays])
+        lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        del lists
+        list_r = np.array(list_r, dtype=np.int64)
+        seg = np.repeat(list_r, lens)
         flag[seg[flat < 0]] = True
-        # A repeated id: only answers that do not strictly increase are sorted.
+        # check_listing verifies every stride-th entry of an answer.
+        stride = np.ones(k, dtype=np.int64)
+        stride[list_r[:plain]] = lens[:plain] // _ANSWER_SOUND_CAP
+        if sizes:
+            stride[sizes[::2]] = np.array(sizes[1::2], dtype=np.int64) // _ANSWER_SOUND_CAP
+        np.maximum(stride, 1, out=stride)
+        if stride.max() > 1:
+            starts = np.array(list_off, dtype=np.int64) - (np.cumsum(lens) - lens)
+            sampled = (np.arange(len(flat)) + np.repeat(starts, lens)) % stride[seg] == 0
+        else:
+            sampled = np.ones(len(flat), dtype=bool)
+        # A repeated id: only lists that do not strictly increase are sorted.
         rough = np.zeros(k, dtype=bool)
         rough[seg[1:][(flat[1:] <= flat[:-1]) & (seg[1:] == seg[:-1])]] = True
         if rough.any():
@@ -526,6 +689,30 @@ class PrefixAudit:
             o = np.lexsort((fs, ss))
             fs, ss = fs[o], ss[o]
             flag[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
+        if runs:
+            # A range part adds the entries check_listing samples, read off
+            # their offsets; in a long answer, also its other prefix hits:
+            # the prefix ids between its ends that lie on its step.
+            rr, base, tt, first, step, count = np.array(runs, dtype=np.int64).reshape(-1, 6).T
+            st = stride[rr]
+            k0 = -base % st
+            of, nth = _ragged(np.maximum(0, -((k0 - count) // st)))
+            drawn = len(of)
+            flat = [flat, first[of] + step[of] * (k0[of] + nth * st[of])]
+            long = np.flatnonzero(st > 1)
+            if len(long):
+                last = first[long] + step[long] * (count[long] - 1)
+                lo = np.searchsorted(self.sorted, np.minimum(first[long], last))
+                at, nth = _ragged(np.searchsorted(self.sorted, np.maximum(first[long], last), side="right") - lo)
+                hits = self.sorted[lo[at] + nth]
+                at = long[at]
+                d = hits - first[at]
+                on = (d % step[at] == 0) & ((base[at] + d // step[at]) % st[at] != 0)
+                of = np.concatenate([of, at[on]])
+                flat.append(hits[on])
+            flat = np.concatenate(flat)
+            seg = np.concatenate([seg, rr[of]])
+            sampled = np.concatenate([sampled, np.arange(len(of)) < drawn])
         pos = np.searchsorted(self.sorted, flat)
         np.minimum(pos, n - 1, out=pos)
         inside = self.sorted[pos] == flat
@@ -539,18 +726,24 @@ class PrefixAudit:
         hit[cone, i[cone]] = True
         flag |= (truth & ~hit).any(axis=1)
         # Soundness of the listed ids check_listing samples.
-        sampled = np.ones(len(flat), dtype=bool)
-        for r in np.flatnonzero(lens > _ANSWER_SOUND_CAP):
-            sampled[starts[r] : ends[r]] = False
-            sampled[starts[r] : ends[r] : lens[r] // _ANSWER_SOUND_CAP] = True
         flag[si[~truth[si, ci] & sampled[inside]]] = True
+        # One rectangle per answer for the sampled ids outside the prefix, in
+        # answer order; each part's entries are already in order.
         out = np.flatnonzero(sampled & ~inside & ~flag[seg])
-        for part in np.split(out, np.flatnonzero(np.diff(seg[out])) + 1) if len(out) else ():
-            r = seg[part[0]]
-            flag[r] = not self._sound_outside(names[r], i[r], j[r], flat[part].tolist()).all()
+        if not len(out):
+            return flag, truth
+        if runs:
+            part_no = np.concatenate([np.repeat(np.array(list_no, dtype=np.int64), lens), tt[of]])[out]
+            out = out[np.argsort(seg[out] * (part_no.max() + 1) + part_no, kind="stable")]
+        # A hook made by _bulk reads the ids as they are; any other gets a list.
+        as_list = not getattr(self.stream._leq_rect, "takes_arrays", False)
+        bounds = np.searchsorted(seg[out], np.arange(k + 1))
+        for r in np.flatnonzero(np.diff(bounds)).tolist():
+            zs = flat[out[bounds[r] : bounds[r + 1]]]
+            flag[r] = not self._sound_outside(names[r], i[r], j[r], zs.tolist() if as_list else zs).all()
         return flag, truth
 
-    def _sound_outside(self, name: str, i: int, j: int, zs: list[int]) -> np.ndarray:
+    def _sound_outside(self, name: str, i: int, j: int, zs: Sequence[int]) -> np.ndarray:
         x = self.ids[i]
         if name == "predecessors":
             return self._rect(zs, [x])[:, 0]
@@ -666,7 +859,7 @@ def omega_stream() -> StreamPoset:
     bundle = OracleBundle(
         predecessors=lambda x: range(x + 1),
         successors=None,
-        interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
+        interval=lambda x, y: range(min(x, y), max(x, y) + 1),
         side=lambda x: FinSide.FIN_PRED,
     )
     return StreamPoset(
@@ -679,7 +872,7 @@ def omega_star_stream() -> StreamPoset:
     bundle = OracleBundle(
         predecessors=None,
         successors=lambda x: range(x + 1),
-        interval=lambda x, y: list(range(min(x, y), max(x, y) + 1)),
+        interval=lambda x, y: range(min(x, y), max(x, y) + 1),
         side=lambda x: FinSide.FIN_SUCC,
     )
     return StreamPoset(
@@ -753,10 +946,10 @@ def omega_plus_omega_star_stream() -> StreamPoset:
     def succ(x: int) -> range | None:
         return range(1, x + 1, 2) if x % 2 == 1 else None
 
-    def interval(x: int, y: int) -> list[int] | None:
+    def interval(x: int, y: int) -> range | None:
         if x % 2 == y % 2:
             lo, hi = sorted((x, y))
-            return list(range(lo, hi + 1, 2))
+            return range(lo, hi + 1, 2)
         return None  # between the two chains lies an infinite set
 
     return StreamPoset(

@@ -273,7 +273,8 @@ def tau_each_answer(ids, leq, kind, answer):
 def listed_oracles(stream):
     """``stream`` whose cone and interval oracles answer ``list(...)`` of what they did.
 
-    The reference for a stream whose oracles answer with ``range``s.
+    The reference for a stream whose oracles answer with ``range``s or
+    ``IdRuns``: either lists its entries when iterated.
     """
 
     def listing(fn):

@@ -114,6 +114,19 @@ def test_golden_audits(argv, name):
     assert run_cli(*argv, "--elements", "150") == golden(name)
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("gadget", "embed", "--f", "swap:4", "--elements", "120"), "gadget_embed.json"),
+        (("gadget", "range", "--f", "perm:2,5,1,7,0,4,3,6;gap:2", "--elements", "120"), "gadget_range.json"),
+        (("decode", "false-stages", "--f", "perm:2,5,1,7,0,4,3,6;gap:2", "--horizon", "300"),
+         "decode_false_stages.json"),
+    ],
+)
+def test_golden_gadgets_answering_with_id_runs(argv, name):
+    assert run_cli(*argv) == golden(name)
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [*CLI, "linearize", "--kind", "omega", "--family", "omega", "--blocks", "4"],

@@ -27,6 +27,7 @@ from taulike import (
 )
 from taulike.kinds import FinSide
 from taulike.streams import (
+    IdRuns,
     OracleBundle,
     PrefixAudit,
     StreamPoset,
@@ -662,7 +663,7 @@ def test_an_answer_of_one_stray_entry_is_unsound(entry):
 def test_a_negative_id_on_the_embed_gadget_is_unsound():
     # The gadget's leq refuses negative ids, so the audit must decide this
     # entry without asking it.
-    stream = _with_listing(make_embed_gadget("swap:2").stream, 4, lambda ans: ans + [-1])
+    stream = _with_listing(make_embed_gadget("swap:2").stream, 4, lambda ans: [*ans, -1])
     _assert_not_an_id(stream, 50, 4, -1)
 
 
@@ -726,6 +727,122 @@ def test_bools_and_numpy_integers_count_as_the_ids_they_equal():
     assert validate_oracles(stream, 12).ok
     report = check_tau_like(stream, Kind.OMEGA, prefix_size=12)
     assert report.ok and report.counts == {x: x for x in range(12)}
+
+
+# -- answers as id runs -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "answer, subject, others",
+    [
+        (range(0, 2**64), 2**63, 2**63 - 1),
+        (range(-(2**64), 5), -(2**64), 4),
+        (IdRuns(([1], range(2**63 - 2, 2**64))), 2**63, 3),
+        (range(2**63, 2**63 + 2), 2**63, 0),
+        (IdRuns((range(0, 4), range(2**63 + 5, 2**63 - 5, -3))), 2**63 + 5, 5),
+        (range(3, -(2**64), -2), -1, 1),
+    ],
+)
+def test_a_range_with_entries_past_the_ids_is_decided_from_its_ends(answer, subject, others):
+    # Listing range(0, 2**64) would never end, and len() of it overflows.
+    stream = _with_listing(omega_stream(), 3, lambda ans: answer)
+    _assert_not_an_id(stream, 10, 3, subject)
+    assert check_tau_like(stream, Kind.OMEGA, prefix_size=10).counts[3] == others
+
+
+def test_an_audit_reads_a_long_range_answer_off_its_ends():
+    # Stages are 2**50 apart, so range(x + 1) lists up to about 2**56.6 ids.
+    def hook(rows, cols=None):
+        r = np.asarray(rows, dtype=np.int64)
+        return r[:, None] <= (r if cols is None else np.asarray(cols, dtype=np.int64))[None, :]
+
+    stream = StreamPoset(
+        lambda t: t * 2**50, operator.le, oracles=OracleBundle(predecessors=lambda x: range(x + 1)), leq_block=hook
+    )
+    report = validate_oracles(stream, 100)
+    assert report.ok and report.checked == {"predecessors": 100}
+    tau = check_tau_like(stream, Kind.OMEGA, prefix_size=100)
+    assert tau.ok and tau.counts[99 * 2**50] == 99 * 2**50
+
+
+_EDGE = 2**63
+_PART_STARTS = st.one_of(st.integers(-6, 9000), st.integers(_EDGE - 6, _EDGE + 2))
+_RANGE_PARTS = st.builds(
+    lambda start, length, step: range(start, start + length * step, step),
+    _PART_STARTS,
+    st.integers(0, 2600),
+    st.integers(1, 4) | st.integers(-4, -1),
+)
+_LIST_PARTS = st.lists(st.integers(-3, 9000) | st.integers(_EDGE - 2, _EDGE + 2), max_size=6)
+
+
+@st.composite
+def _run_answers(draw, x: int):
+    """An answer for predecessors(x): drawn parts, or range(x + 1) in parts with at most one fault."""
+    if draw(st.booleans()):
+        return IdRuns(draw(st.lists(_RANGE_PARTS | _LIST_PARTS, min_size=1, max_size=4)))
+    fault = draw(st.sampled_from(["none", "unsound", "missing", "overrun"]))
+    if fault == "missing":
+        cut = 211 * draw(st.integers(0, x // 211))  # a prefix id, left out
+    else:
+        cut = draw(st.integers(0, x + 1))
+        if draw(st.booleans()):  # at an entry check_listing samples
+            cut -= cut % max(1, (x + 1 + (fault == "unsound")) // 2000)
+    low = list(range(cut)) if draw(st.booleans()) else range(cut - 1, -1, -1)
+    start, top = cut + (fault == "missing"), x
+    if fault == "overrun":  # the last entries of the high part lie above x
+        top += draw(st.integers(1, 4))
+        if draw(st.booleans()):  # ... and the last one where check_listing samples
+            top += -top % max(1, (x + 5) // 2000)
+        return IdRuns((low, range(start, top + 1)))
+    high = range(x, start - 1, -1) if draw(st.booleans()) else range(start, x + 1)
+    middle = [x + 1 + draw(st.integers(0, 500))] if fault == "unsound" else []
+    return IdRuns((low, middle, high))
+
+
+@st.composite
+def _run_cases(draw):
+    # Prefix ids sit 211 apart, so honest answers list up to 8,000 ids, most
+    # of them outside the prefix, and past 4,000 check_listing samples them.
+    s = draw(st.integers(5, 40))
+    ats = draw(st.lists(st.integers(0, s - 1), max_size=4, unique=True))
+    answers = {211 * t: draw(_run_answers(211 * t)) for t in ats}
+    lie = draw(st.none() | st.integers(0, 9000))
+    return s, answers, lie
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_run_cases())
+def test_run_answers_are_audited_as_their_listings(case):
+    s, answers, lie = case
+
+    def stream(listed: bool, asked: list) -> StreamPoset:
+        def predecessors(x):
+            ans = answers.get(x, range(x + 1))
+            return list(ans) if listed else ans
+
+        def hook(rows, cols=None):
+            asked.append((list(rows), cols and list(cols)))
+            r = np.asarray(rows, dtype=np.int64)[:, None]
+            m = r <= (r.T if cols is None else np.asarray(cols, dtype=np.int64)[None, :])
+            return m ^ (r == lie) if lie is not None else m  # a lying hook flips the row of one id
+
+        bundle = OracleBundle(predecessors=predecessors)
+        return StreamPoset(lambda t: 211 * t, operator.le, oracles=bundle, leq_block=hook)
+
+    # The same reports from the same rectangles, asked in the same order.
+    runs, listed = [], []
+    report = validate_oracles(stream(False, runs), s).to_json_dict()
+    assert report == validate_oracles(stream(True, listed), s).to_json_dict()
+    assert check_tau_like(stream(False, runs), Kind.OMEGA, s) == check_tau_like(stream(True, listed), Kind.OMEGA, s)
+    assert runs == listed
+
+
+def test_id_runs_read_as_the_concatenation_of_their_parts():
+    runs = IdRuns(([4, 2], range(7, 10), range(3, -1, -2), []))
+    assert list(runs) == [4, 2, 7, 8, 9, 3, 1]
+    assert len(runs) == 7
+    assert 8 in runs and 1 in runs and 5 not in runs
 
 
 # -- chunk screening against check_listing alone ---------------------------------
