@@ -274,7 +274,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return FinSide.FIN_PRED
         return FinSide.FIN_SUCC
 
-    def predecessors(x: int) -> IdRuns | None:
+    def predecessors(x: int) -> list[int] | None:
         if x % 2 == 1:
             return None  # everything earlier in the chain sits above
         n = x // 2
@@ -282,7 +282,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return None
         # n is undercut, so n and every stage before it lie in the head.
         early = [2 * m for m in range(n) if t(m) <= n]
-        return IdRuns((early, range(2 * n, 2 * t(n), 2)))
+        return early + list(range(2 * n, 2 * t(n), 2))
 
     def successors(x: int) -> Sequence[int] | None:
         if x % 2 == 1:
@@ -295,7 +295,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         # Stages past the head are never undercut, so all of them up to n lie above.
         return IdRuns((never_undercut, range(2 * window, x + 1, 2)))
 
-    def interval(x: int, y: int) -> Sequence[int] | None:
+    def interval(x: int, y: int) -> list[int] | None:
         if x % 2 != y % 2:
             return []
         if x % 2 == 1:
@@ -316,7 +316,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         # Neither end is undercut: between them lie the never-undercut stages
         # from high up to low.
         head = [2 * p for p in range(high, min(low + 1, window)) if t(p) == _NO_WITNESS]
-        return IdRuns((head, range(2 * max(high, window), 2 * low + 1, 2)))
+        return head + list(range(2 * max(high, window), 2 * low + 1, 2))
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.min(initial=0) < 0 or b.min(initial=0) < 0:

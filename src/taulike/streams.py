@@ -110,9 +110,10 @@ class StreamPoset:
     square boolean relation matrix on a list of ids and, when the hook has a
     ``cols`` parameter, ``leq_block(rows, cols)`` returns the rectangle whose
     cell (i, j) says ``rows[i] <= cols[j]``.  Without one, rectangles fall
-    back to ``leq``.  Every cell must agree with ``leq``; the oracle auditors
-    spot-check that, and decide the ids an oracle answer lists outside the
-    audited prefix with one rectangle per answer.
+    back to ``leq``, which is called on Python ints.  Every cell must agree
+    with ``leq``; the oracle auditors spot-check that, and decide the ids an
+    oracle answer lists outside the audited prefix with one rectangle per
+    answer, passing those ids as an int64 array.
     """
 
     def __init__(
@@ -167,6 +168,7 @@ class StreamPoset:
             return m
         m = np.zeros(shape, dtype=bool)
         leq = self._leq
+        rows, cols = (a.tolist() if isinstance(a, np.ndarray) else a for a in (rows, cols))
         for i, x in enumerate(rows):
             row = m[i]
             for j, y in enumerate(rows if cols is None else cols):
@@ -184,14 +186,13 @@ def _takes_cols(hook) -> bool:
 
 
 def _bulk(rel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """A two-list ``leq_block`` hook from a vectorised comparison of id arrays."""
+    """A ``leq_block`` hook, square or rectangular, from a vectorised comparison of id arrays."""
 
     def hook(rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
         r = np.asarray(rows, dtype=np.int64)
         c = r if cols is None else np.asarray(cols, dtype=np.int64)
         return rel(r[:, None], c[None, :])
 
-    hook.takes_arrays = True  # int64 arrays of ids serve as well as lists
     return hook
 
 
@@ -515,10 +516,11 @@ class PrefixAudit:
     its other prefix hits.  An answer whose parts are strictly monotone with
     disjoint spans lists no id twice; any other is listed whole and checked
     for repeats.  The sampled ids an answer lists outside the prefix are
-    decided by one rectangular ``relation_matrix`` per answer.  Only answers
-    that may be faulty go through :func:`check_listing`, so violations read
-    as if every answer had.  Wherever the stream's bulk hook built a matrix, sampled cells are
-    compared with ``leq``; the first disagreement is kept in ``hook_fault``.
+    decided in answer order by one rectangular ``relation_matrix`` per
+    answer.  Only answers that may be faulty go through :func:`check_listing`,
+    so violations read as if every answer had.  Wherever the stream's bulk
+    hook built a matrix, sampled cells are compared with ``leq``; the first
+    disagreement is kept in ``hook_fault``.
     ``relation_faults`` lists what is wrong with the prefix relation itself:
     a hook fault found on the prefix square, then each partial-order axiom
     the square breaks.
@@ -617,69 +619,52 @@ class PrefixAudit:
         names = [q[0] for q in qs]
         i = np.array([q[1] for q in qs], dtype=np.int64)
         j = np.array([q[2] for q in qs], dtype=np.int64)
-        # Every answer is split into parts, each placed by its answer, its offset
-        # in it and its index: a list or range answer is its own one part.  List
-        # parts become one id array; a range part is kept as (first, step, count).
-        answers = [q[3] for q in qs]
-        list_r = [r for r, ans in enumerate(answers) if isinstance(ans, list)]
-        lists = [answers[r] for r in list_r]
-        plain = len(lists)
-        list_off, list_no = [0] * plain, [0] * plain
-        runs: list[int] = []  # (answer, offset, index, first, step, count) of each range part, flat
-        sizes: list[int] = []  # (answer, entries) of each other answer, flat
-        for r, ans in enumerate(answers if plain < k else ()):
+        # Every answer is read part by part in answer order: a list or range
+        # answer is its own one part.  List parts become one id array; a range
+        # part is kept as (place, answer, offset in it, first, step, count).  A
+        # part's place grows part by part in answer order.
+        lists: list[list] = []
+        list_at: list[int] = []  # (place, answer, offset) of each list part, flat
+        runs: list[int] = []
+        size = [0] * k
+        for r, q in enumerate(qs):
+            ans = q[3]
             if isinstance(ans, list):
+                list_at += (len(list_at) + len(runs), r, 0)
+                lists.append(ans)
+                size[r] = len(ans)
                 continue
             try:
-                if isinstance(ans, range):  # the common one-part case, without the split
-                    size = _count(_as_ids(ans))
-                    runs += (r, 0, 0, ans[0], ans.step if size > 1 else 1, size) if size else ()
-                    sizes += (r, size)
-                    continue
-                parts = [part for part in map(_as_ids, ans.parts) if part]
+                parts = [_as_ids(ans)] if isinstance(ans, range) else [*map(_as_ids, ans.parts)]
             except _NotAnId:
                 flag[r] = True
                 continue
             if len(parts) > 1 and not _repeat_free(parts):
                 parts = [list(chain.from_iterable(parts))]
-            offset = 0
-            for t, part in enumerate(parts):
-                size = _count(part)
+            for part in parts:
+                count = _count(part)
                 if isinstance(part, list):
+                    list_at += (len(list_at) + len(runs), r, size[r])
                     lists.append(part)
-                    list_r.append(r)
-                    list_off.append(offset)
-                    list_no.append(t)
-                else:
-                    runs += (r, offset, t, part[0], part.step if size > 1 else 1, size)
-                offset += size
-            sizes += (r, offset)
-        del answers
+                elif count:
+                    runs += (len(list_at) + len(runs), r, size[r], part.start, part.step if count > 1 else 1, count)
+                size[r] += count
         # One array for the chunk's lists; list by list only to find the malformed ones.
         flat = _id_array(list(chain.from_iterable(lists)))
         if flat is None:
-            arrays = [_id_array(ans) for ans in lists]
+            arrays = [_id_array(part) for part in lists]
             for t, a in enumerate(arrays):
                 if a is None:
-                    flag[list_r[t]], arrays[t] = True, _NO_IDS
+                    flag[list_at[3 * t + 1]], arrays[t] = True, _NO_IDS
             lists = arrays
             flat = np.concatenate([_NO_IDS, *arrays])
         lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
         del lists
-        list_r = np.array(list_r, dtype=np.int64)
-        seg = np.repeat(list_r, lens)
+        # Each listed id's place, answer and offset in that answer.
+        at = np.array(list_at, dtype=np.int64).reshape(-1, 3)
+        place, seg = np.repeat(at[:, 0], lens), np.repeat(at[:, 1], lens)
+        off = np.repeat(at[:, 2] - (np.cumsum(lens) - lens), lens) + np.arange(len(flat))
         flag[seg[flat < 0]] = True
-        # check_listing verifies every stride-th entry of an answer.
-        stride = np.ones(k, dtype=np.int64)
-        stride[list_r[:plain]] = lens[:plain] // _ANSWER_SOUND_CAP
-        if sizes:
-            stride[sizes[::2]] = np.array(sizes[1::2], dtype=np.int64) // _ANSWER_SOUND_CAP
-        np.maximum(stride, 1, out=stride)
-        if stride.max() > 1:
-            starts = np.array(list_off, dtype=np.int64) - (np.cumsum(lens) - lens)
-            sampled = (np.arange(len(flat)) + np.repeat(starts, lens)) % stride[seg] == 0
-        else:
-            sampled = np.ones(len(flat), dtype=bool)
         # A repeated id: only lists that do not strictly increase are sorted.
         rough = np.zeros(k, dtype=bool)
         rough[seg[1:][(flat[1:] <= flat[:-1]) & (seg[1:] == seg[:-1])]] = True
@@ -689,30 +674,30 @@ class PrefixAudit:
             o = np.lexsort((fs, ss))
             fs, ss = fs[o], ss[o]
             flag[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
+        # check_listing verifies the entries at every stride-th offset of an answer.
+        stride = np.maximum(np.array(size, dtype=np.int64) // _ANSWER_SOUND_CAP, 1)
         if runs:
             # A range part adds the entries check_listing samples, read off
             # their offsets; in a long answer, also its other prefix hits:
             # the prefix ids between its ends that lie on its step.
-            rr, base, tt, first, step, count = np.array(runs, dtype=np.int64).reshape(-1, 6).T
+            run_place, rr, base, first, step, count = np.array(runs, dtype=np.int64).reshape(-1, 6).T
             st = stride[rr]
             k0 = -base % st
-            of, nth = _ragged(np.maximum(0, -((k0 - count) // st)))
-            drawn = len(of)
-            flat = [flat, first[of] + step[of] * (k0[of] + nth * st[of])]
+            t, nth = _ragged(np.maximum(0, -((k0 - count) // st)))
+            d = k0[t] + nth * st[t]
             long = np.flatnonzero(st > 1)
             if len(long):
                 last = first[long] + step[long] * (count[long] - 1)
                 lo = np.searchsorted(self.sorted, np.minimum(first[long], last))
-                at, nth = _ragged(np.searchsorted(self.sorted, np.maximum(first[long], last), side="right") - lo)
-                hits = self.sorted[lo[at] + nth]
-                at = long[at]
-                d = hits - first[at]
-                on = (d % step[at] == 0) & ((base[at] + d // step[at]) % st[at] != 0)
-                of = np.concatenate([of, at[on]])
-                flat.append(hits[on])
-            flat = np.concatenate(flat)
-            seg = np.concatenate([seg, rr[of]])
-            sampled = np.concatenate([sampled, np.arange(len(of)) < drawn])
+                h, nth = _ragged(np.searchsorted(self.sorted, np.maximum(first[long], last), side="right") - lo)
+                gap = self.sorted[lo[h] + nth] - first[long[h]]
+                h = long[h]
+                on = (gap % step[h] == 0) & ((base[h] + gap // step[h]) % st[h] != 0)
+                t, d = np.concatenate([t, h[on]]), np.concatenate([d, gap[on] // step[h[on]]])
+            flat = np.concatenate([flat, first[t] + step[t] * d])
+            place, seg = np.concatenate([place, run_place[t]]), np.concatenate([seg, rr[t]])
+            off = np.concatenate([off, base[t] + d])
+        sampled = off % stride[seg] == 0 if stride.max() > 1 else np.ones(len(flat), dtype=bool)
         pos = np.searchsorted(self.sorted, flat)
         np.minimum(pos, n - 1, out=pos)
         inside = self.sorted[pos] == flat
@@ -728,22 +713,17 @@ class PrefixAudit:
         # Soundness of the listed ids check_listing samples.
         flag[si[~truth[si, ci] & sampled[inside]]] = True
         # One rectangle per answer for the sampled ids outside the prefix, in
-        # answer order; each part's entries are already in order.
+        # answer order: list and range parts are each in order, so a stable
+        # sort by place merges them.
         out = np.flatnonzero(sampled & ~inside & ~flag[seg])
-        if not len(out):
-            return flag, truth
-        if runs:
-            part_no = np.concatenate([np.repeat(np.array(list_no, dtype=np.int64), lens), tt[of]])[out]
-            out = out[np.argsort(seg[out] * (part_no.max() + 1) + part_no, kind="stable")]
-        # A hook made by _bulk reads the ids as they are; any other gets a list.
-        as_list = not getattr(self.stream._leq_rect, "takes_arrays", False)
+        out = out[np.argsort(place[out], kind="stable")]
         bounds = np.searchsorted(seg[out], np.arange(k + 1))
         for r in np.flatnonzero(np.diff(bounds)).tolist():
             zs = flat[out[bounds[r] : bounds[r + 1]]]
-            flag[r] = not self._sound_outside(names[r], i[r], j[r], zs.tolist() if as_list else zs).all()
+            flag[r] = not self._sound_outside(names[r], i[r], j[r], zs).all()
         return flag, truth
 
-    def _sound_outside(self, name: str, i: int, j: int, zs: Sequence[int]) -> np.ndarray:
+    def _sound_outside(self, name: str, i: int, j: int, zs: np.ndarray) -> np.ndarray:
         x = self.ids[i]
         if name == "predecessors":
             return self._rect(zs, [x])[:, 0]

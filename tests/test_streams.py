@@ -31,6 +31,7 @@ from taulike.streams import (
     OracleBundle,
     PrefixAudit,
     StreamPoset,
+    _bulk,
     antichain_stream,
     check_listing,
     omega_plus_omega_star_stream,
@@ -750,6 +751,36 @@ def test_a_range_with_entries_past_the_ids_is_decided_from_its_ends(answer, subj
     assert check_tau_like(stream, Kind.OMEGA, prefix_size=10).counts[3] == others
 
 
+@pytest.mark.parametrize("answer", [IdRuns(([0, 1001],)), IdRuns(([0], range(0), [1001]))])
+def test_a_run_answer_of_lists_is_checked_as_its_own_among_list_answers(answer):
+    # Every other answer is a list whose odd ids lie outside the prefix, so
+    # its outside ids and those of the run must not be mixed up in one chunk.
+    def predecessors(x):
+        return answer if x == 0 else list(range(x + 1))
+
+    def stream(pred):
+        return StreamPoset(
+            lambda t: 2 * t, operator.le, oracles=OracleBundle(predecessors=pred), leq_block=_bulk(operator.le)
+        )
+
+    runs, listed = stream(predecessors), stream(lambda x: list(predecessors(x)))
+    report = validate_oracles(runs, 20)
+    assert not report.ok
+    assert report.to_json_dict() == validate_oracles(listed, 20).to_json_dict()
+    assert check_tau_like(runs, Kind.OMEGA, prefix_size=20) == check_tau_like(listed, Kind.OMEGA, prefix_size=20)
+
+
+def test_leq_reads_python_ints_where_the_audit_asks_outside_the_prefix():
+    # Without a rectangle hook, the audit's outside ids reach leq one by one.
+    def leq(x, y):
+        assert type(x) is int and type(y) is int
+        return x <= y
+
+    stream = StreamPoset(lambda t: 2 * t, leq, oracles=OracleBundle(predecessors=lambda x: range(x + 1)))
+    assert validate_oracles(stream, 20).ok
+    assert check_tau_like(stream, Kind.OMEGA, prefix_size=20).ok
+
+
 def test_an_audit_reads_a_long_range_answer_off_its_ends():
     # Stages are 2**50 apart, so range(x + 1) lists up to about 2**56.6 ids.
     def hook(rows, cols=None):
@@ -808,17 +839,17 @@ def _run_cases(draw):
     ats = draw(st.lists(st.integers(0, s - 1), max_size=4, unique=True))
     answers = {211 * t: draw(_run_answers(211 * t)) for t in ats}
     lie = draw(st.none() | st.integers(0, 9000))
-    return s, answers, lie
+    return s, answers, lie, draw(st.booleans())
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=_run_cases())
 def test_run_answers_are_audited_as_their_listings(case):
-    s, answers, lie = case
+    s, answers, lie, plain = case
 
     def stream(listed: bool, asked: list) -> StreamPoset:
         def predecessors(x):
-            ans = answers.get(x, range(x + 1))
+            ans = answers.get(x, list(range(x + 1)) if plain else range(x + 1))
             return list(ans) if listed else ans
 
         def hook(rows, cols=None):
