@@ -186,7 +186,7 @@ def _takes_cols(hook) -> bool:
 
 
 def _bulk(rel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """A ``leq_block`` hook, square or rectangular, from a vectorised comparison of id arrays."""
+    """A two-list ``leq_block`` hook from a vectorised comparison of id arrays."""
 
     def hook(rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
         r = np.asarray(rows, dtype=np.int64)
@@ -641,14 +641,16 @@ class PrefixAudit:
                 continue
             if len(parts) > 1 and not _repeat_free(parts):
                 parts = [list(chain.from_iterable(parts))]
+            offset = 0
             for part in parts:
                 count = _count(part)
                 if isinstance(part, list):
-                    list_at += (len(list_at) + len(runs), r, size[r])
+                    list_at += (len(list_at) + len(runs), r, offset)
                     lists.append(part)
                 elif count:
-                    runs += (len(list_at) + len(runs), r, size[r], part.start, part.step if count > 1 else 1, count)
-                size[r] += count
+                    runs += (len(list_at) + len(runs), r, offset, part.start, part.step if count > 1 else 1, count)
+                offset += count
+            size[r] = offset
         # One array for the chunk's lists; list by list only to find the malformed ones.
         flat = _id_array(list(chain.from_iterable(lists)))
         if flat is None:
@@ -660,10 +662,9 @@ class PrefixAudit:
             flat = np.concatenate([_NO_IDS, *arrays])
         lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
         del lists
-        # Each listed id's place, answer and offset in that answer.
+        # Each listed id's place and answer.
         at = np.array(list_at, dtype=np.int64).reshape(-1, 3)
         place, seg = np.repeat(at[:, 0], lens), np.repeat(at[:, 1], lens)
-        off = np.repeat(at[:, 2] - (np.cumsum(lens) - lens), lens) + np.arange(len(flat))
         flag[seg[flat < 0]] = True
         # A repeated id: only lists that do not strictly increase are sorted.
         rough = np.zeros(k, dtype=bool)
@@ -676,6 +677,11 @@ class PrefixAudit:
             flag[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
         # check_listing verifies the entries at every stride-th offset of an answer.
         stride = np.maximum(np.array(size, dtype=np.int64) // _ANSWER_SOUND_CAP, 1)
+        if stride.max() > 1:
+            off = np.repeat(at[:, 2] - (np.cumsum(lens) - lens), lens) + np.arange(len(flat))
+            sampled = off % stride[seg] == 0
+        else:
+            sampled = np.ones(len(flat), dtype=bool)
         if runs:
             # A range part adds the entries check_listing samples, read off
             # their offsets; in a long answer, also its other prefix hits:
@@ -685,6 +691,7 @@ class PrefixAudit:
             k0 = -base % st
             t, nth = _ragged(np.maximum(0, -((k0 - count) // st)))
             d = k0[t] + nth * st[t]
+            drawn = len(t)
             long = np.flatnonzero(st > 1)
             if len(long):
                 last = first[long] + step[long] * (count[long] - 1)
@@ -696,8 +703,7 @@ class PrefixAudit:
                 t, d = np.concatenate([t, h[on]]), np.concatenate([d, gap[on] // step[h[on]]])
             flat = np.concatenate([flat, first[t] + step[t] * d])
             place, seg = np.concatenate([place, run_place[t]]), np.concatenate([seg, rr[t]])
-            off = np.concatenate([off, base[t] + d])
-        sampled = off % stride[seg] == 0 if stride.max() > 1 else np.ones(len(flat), dtype=bool)
+            sampled = np.concatenate([sampled, np.arange(len(t)) < drawn])
         pos = np.searchsorted(self.sorted, flat)
         np.minimum(pos, n - 1, out=pos)
         inside = self.sorted[pos] == flat
