@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .embed import embed_omega, embed_poset
-from .errors import FormatError, TaulikeError
+from .errors import FormatError, TaulikeError, TooLarge
 from .gadgets import (
     FufGadget,
     FunctionSpec,
@@ -45,6 +45,10 @@ from .streams import (
 _KIND_CHOICES = [k.value for k in Kind]
 _DEFAULT_BLOCKS = 8
 _DEFAULT_SPLIT_ELEMENTS = 32
+# An audit of n elements holds two n x n bool relation matrices, and its
+# axiom check multiplies float32 copies of them: at 4,096 elements, the
+# poset document limit, that is two 16 MiB and two 64 MiB matrices.
+MAX_AUDIT_ELEMENTS = 4096
 
 
 def natural(text: str) -> int:
@@ -352,9 +356,18 @@ def _cmd_decode(args, parser) -> dict:
 
 
 def _audit_size(args, default: int, parser: argparse.ArgumentParser) -> int:
-    """The audited prefix size; an audit of nothing certifies nothing, so 0 is refused."""
+    """The audited prefix size; an audit of nothing certifies nothing, so 0 is refused.
+
+    A size above :data:`MAX_AUDIT_ELEMENTS` is :class:`TooLarge`, raised
+    before any element is enumerated.
+    """
     if args.elements == 0:
         parser.error("--elements must be positive for an audit")
+    if args.elements is not None and args.elements > MAX_AUDIT_ELEMENTS:
+        raise TooLarge(
+            f"an audit of {args.elements} elements exceeds the limit of {MAX_AUDIT_ELEMENTS}: "
+            "it would hold two n x n relation matrices"
+        )
     return default if args.elements is None else args.elements
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ClassifierInconsistent, FiniteDomainEnd, FormatError, OracleMissing, TooLarge
 from .kinds import BlockSide, FinSide, Kind
 from .poset import FinitePoset, LinearOrder
-from .streams import IdRuns, StreamPoset, oracle_answer, read_side, require_oracle, take
+from .streams import IdRuns, StreamPoset, read_side, require_oracle, take
 
 __all__ = [
     "Block",
@@ -64,20 +64,6 @@ class BlockSeq:
                 return i
         raise KeyError(x)
 
-    def placement_le(self, x: int, y: int) -> bool:
-        """Debug view of the derived block placement order.
-
-        x is placed at-or-below y when they share a block, or when the later
-        of the two blocks points away from the earlier one (RIGHT blocks go
-        above everything older, LEFT blocks below).
-        """
-        i, j = self.block_of(x), self.block_of(y)
-        if i == j:
-            return True  # within a block only <=_P decides; caller refines
-        if i < j:
-            return self.blocks[j].side is BlockSide.RIGHT
-        return self.blocks[i].side is BlockSide.LEFT
-
 
 def szpilrajn_extend(poset: FinitePoset) -> LinearOrder:
     """Deterministic linear extension by insertion.
@@ -120,8 +106,8 @@ def _segment(stream: StreamPoset, members: Sequence[int]) -> list[int]:
     return list(szpilrajn_extend(_induced(stream, members)))
 
 
-def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[int, int]]) -> Iterable[int]:
-    """The ids of ``ids`` not in ``absorbed``; a ``range`` costs its new ids, not its length.
+def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[int, int]]) -> list[int]:
+    """The ids of ``ids`` not in ``absorbed``, listed; a ``range`` costs its new ids, not its length.
 
     ``links[s]`` maps y to z when y, y + s, ..., z - s are all absorbed.  A
     range is walked up from its low end, absorbed runs are jumped along the
@@ -130,9 +116,9 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
     part; other answers are probed id by id.
     """
     if isinstance(ids, IdRuns):
-        return chain.from_iterable(_unabsorbed(part, absorbed, links) for part in ids.parts)
+        return list(chain.from_iterable(_unabsorbed(part, absorbed, links) for part in ids.parts))
     if not isinstance(ids, range):
-        return filterfalse(absorbed.__contains__, ids)
+        return list(filterfalse(absorbed.__contains__, ids))
     ids = ids[::-1] if ids.step < 0 else ids
     s, stop, y = ids.step, ids.stop, ids.start
     link = links.setdefault(s, {})
@@ -151,7 +137,9 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
 
 
 def _block_run(
-    stream: StreamPoset, step: Callable[[int], tuple[Iterable[int], BlockSide]]
+    stream: StreamPoset,
+    step: Callable[[int], tuple[Iterable[int], BlockSide]],
+    enumeration: Sequence[int] | None = None,
 ) -> Iterator[tuple[Block, list[int]]]:
     """The one block construction behind every block run, one block per pull.
 
@@ -161,16 +149,30 @@ def _block_run(
     of all earlier pivots.  ``step(pivot)`` returns the ids the pivot pins
     down and the side its block goes on; the block is the pivot plus those
     ids minus everything absorbed (:func:`_unabsorbed`), sorted, and it
-    comes with its segment.
+    comes with its segment.  A block whose only new id is its pivot is
+    built as it stands.
+
+    The run enumerates ``enumeration`` when one is given, read as given: it
+    holds ids that ``stream.element_at`` has already checked.  Otherwise it
+    enumerates the stream itself, reading the stages the stream has already
+    checked off its cache and pulling only the others through
+    ``element_at``, so each id is checked once.
     """
     absorbed: set[int] = set()
     links: dict[int, dict[int, int]] = {}
+    # The stream's cache holds every stage it has enumerated and checked.
+    known = stream._cache if enumeration is None else enumeration
     stage = scanned = 0
     while True:
-        try:
-            pivot = stream.element_at(stage)
-        except FiniteDomainEnd:
+        if stage < len(known):
+            pivot = known[stage]
+        elif enumeration is not None:
             return
+        else:
+            try:
+                pivot = stream.element_at(stage)
+            except FiniteDomainEnd:
+                return
         stage += 1
         if pivot in absorbed:
             scanned += 1
@@ -181,11 +183,14 @@ def _block_run(
             continue
         scanned = 0
         ids, side = step(pivot)
-        fresh = set(_unabsorbed(ids, absorbed, links))
-        fresh.add(pivot)
-        members = sorted(fresh)
+        new = _unabsorbed(ids, absorbed, links)
+        if not new or new == [pivot]:
+            absorbed.add(pivot)
+            yield Block(pivot=pivot, members=(pivot,), side=side), [pivot]
+            continue
+        members = tuple(sorted({pivot, *new}))
         absorbed.update(members)
-        yield Block(pivot=pivot, members=tuple(members), side=side), _segment(stream, members)
+        yield Block(pivot=pivot, members=members, side=side), _segment(stream, members)
 
 
 def assemble(
@@ -223,12 +228,22 @@ def assemble(
     return BlockSeq(tuple(blocks), kind), LinearOrder(order, anchor_index=anchor)
 
 
+def _cone_step(name: str, fn: Callable, side: BlockSide) -> Callable[[int], tuple[Iterable[int], BlockSide]]:
+    """A one-sided run's step: the ``name`` oracle's answer for the pivot, on ``side``."""
+
+    def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
+        ans = fn(pivot)
+        if ans is None:
+            raise OracleMissing(f"{name} oracle returned no finite answer for {(pivot,)}")
+        return ans, side
+
+    return step
+
+
 def omega_blocks(stream: StreamPoset) -> Iterator[tuple[Block, list[int]]]:
     """The ω run of ``stream`` as blocks with their segments, pulled one at a time."""
     fn = require_oracle(stream, "predecessors")
-    return _block_run(
-        stream, lambda p: (oracle_answer(fn, p, what="predecessors oracle"), BlockSide.RIGHT)
-    )
+    return _block_run(stream, _cone_step("predecessors", fn, BlockSide.RIGHT))
 
 
 def omega_linearize(
@@ -258,7 +273,7 @@ def omega_star_linearize(
     position 0).
     """
     fn = require_oracle(stream, "successors")
-    run = _block_run(stream, lambda p: (oracle_answer(fn, p, what="successors oracle"), BlockSide.LEFT))
+    run = _block_run(stream, _cone_step("successors", fn, BlockSide.LEFT))
     return assemble(Kind.OMEGA_STAR, run, blocks_wanted, elements_wanted)
 
 
@@ -298,59 +313,62 @@ def zeta_linearize(
     no answer for such a pair no longer stops the run.
     """
     fn = require_oracle(stream, "interval")
+    leq = stream._leq  # read for its truth only, as StreamPoset.leq reads it
     minimal: list[int] = []
     maximal: list[int] = []
 
     def step(pivot: int) -> tuple[Iterable[int], BlockSide]:
         nonlocal minimal, maximal
-        below = [m for m in minimal if stream.leq(m, pivot)]
-        above = [m for m in maximal if stream.leq(pivot, m)]
-        answers = [
-            oracle_answer(fn, z, pivot, what="interval oracle") for z in below + above + [pivot]
-        ]
+        below = [m for m in minimal if leq(m, pivot)]
+        above = [m for m in maximal if leq(pivot, m)]
+        answers = []
+        for z in below + above + [pivot]:
+            ans = fn(z, pivot)
+            if ans is None:
+                raise OracleMissing(f"interval oracle returned no finite answer for {(z, pivot)}")
+            answers.append(ans)
         # An earlier pivot below p means p is not minimal, and then no
         # minimal pivot lies above it; dually for the maximal list.
         if not below:
-            minimal = [m for m in minimal if not stream.leq(pivot, m)] + [pivot]
+            minimal = [m for m in minimal if not leq(pivot, m)] + [pivot]
         if not above:
-            maximal = [m for m in maximal if not stream.leq(m, pivot)] + [pivot]
+            maximal = [m for m in maximal if not leq(m, pivot)] + [pivot]
         return chain.from_iterable(answers), BlockSide.LEFT if above else BlockSide.RIGHT
 
     return assemble(Kind.ZETA, _block_run(stream, step), blocks_wanted, elements_wanted)
-
-
-def _substream(stream: StreamPoset, ids: Sequence[int], label: str) -> StreamPoset:
-    seq = list(ids)
-    return StreamPoset(
-        lambda s: seq[s],
-        stream.leq,
-        oracles=stream.oracles,
-        size=len(seq),
-        name=f"{stream.name}/{label}",
-        leq_block=stream._leq_block,
-    )
 
 
 def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     """Linearize a stream whose elements each promise one finite cone.
 
     The first ``elements_wanted`` enumerated elements are partitioned by the
-    side oracle; the FIN_PRED part runs through omega_linearize, the FIN_SUCC
-    part through omega_star_linearize, and the output is their concatenation
-    (side-0 entirely below side-1), tagged with the per-element sides.
+    side oracle; the FIN_PRED part runs through the omega block run, the
+    FIN_SUCC part through the omega-star one, and the output is their
+    concatenation (side-0 entirely below side-1), tagged with the
+    per-element sides.  Each run enumerates its part's id list as given, so
+    every id is checked once, by ``stream.element_at``.
     """
     side_fn = require_oracle(stream, "side")
     parts: dict[FinSide, list[int]] = {FinSide.FIN_PRED: [], FinSide.FIN_SUCC: []}
     for x in take(stream, elements_wanted):
-        tag = read_side(side_fn(x), x)
-        if tag is None:
-            raise OracleMissing(f"side oracle gave no class for element {x}")
+        tag = side_fn(x)
+        if type(tag) is not FinSide:
+            tag = read_side(tag, x)
+            if tag is None:
+                raise OracleMissing(f"side oracle gave no class for element {x}")
         parts[tag].append(x)
-    _, low_order = omega_linearize(_substream(stream, parts[FinSide.FIN_PRED], "fin-pred"))
-    _, high_order = omega_star_linearize(_substream(stream, parts[FinSide.FIN_SUCC], "fin-succ"))
-
-    emitted_low = list(low_order)
-    emitted_high = list(high_order)
+    halves = []
+    for tag, name, label, side in (
+        (FinSide.FIN_PRED, "predecessors", "fin-pred", BlockSide.RIGHT),
+        (FinSide.FIN_SUCC, "successors", "fin-succ", BlockSide.LEFT),
+    ):
+        fn = getattr(stream.oracles, name)
+        if fn is None:
+            raise OracleMissing(f"stream {f'{stream.name}/{label}'!r} has no {name} oracle")
+        segs = [seg for _, seg in _block_run(stream, _cone_step(name, fn, side), parts[tag])]
+        # RIGHT blocks go above the earlier ones, LEFT blocks below them.
+        halves.append(list(chain.from_iterable(segs if side is BlockSide.RIGHT else reversed(segs))))
+    emitted_low, emitted_high = halves
     clash = set(emitted_low) & set(emitted_high)
     if clash:
         raise ClassifierInconsistent(

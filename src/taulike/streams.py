@@ -137,14 +137,14 @@ class StreamPoset:
         self._seen: set[int] = set()
 
     def element_at(self, stage: int) -> int:
+        if 0 <= stage < len(self._cache):  # enumerated and checked already
+            return self._cache[stage]
         if stage < 0:
             raise UnknownIdError(f"stages are non-negative, got {stage}")
         if self.size is not None and stage >= self.size:
             raise FiniteDomainEnd(stage)
         while len(self._cache) <= stage:
-            nxt = len(self._cache)
-            if self.size is not None and nxt >= self.size:
-                raise FiniteDomainEnd(nxt)
+            nxt = len(self._cache)  # nxt <= stage < size
             x = self._element_at(nxt)
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < ID_LIMIT:
                 raise FormatError(f"enumeration produced a non-id value {x!r}")
@@ -222,17 +222,6 @@ def require_oracle(stream: StreamPoset, name: str):
     if fn is None:
         raise OracleMissing(f"stream {stream.name!r} has no {name} oracle")
     return fn
-
-
-def oracle_answer(fn, *args, what: str = "oracle") -> Iterable[int]:
-    """Call a finiteness oracle that the algorithm requires to be defined.
-
-    The answer is returned as given, not copied, for the caller to read once.
-    """
-    ans = fn(*args)
-    if ans is None:
-        raise OracleMissing(f"{what} returned no finite answer for {args}")
-    return ans
 
 
 # -- validation -------------------------------------------------------------

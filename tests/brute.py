@@ -135,6 +135,20 @@ def cone_blocks(enumeration, cone, blocks_wanted=None, elements_wanted=None):
     return blocks
 
 
+def placement_le(blocks, x, y) -> bool:
+    """The block placement order, restated: x is placed at-or-below y when
+    they share a block, or when the later of their two blocks points away
+    from the earlier one (a RIGHT block goes above every older block, a LEFT
+    block below).  ``blocks`` lists ``(members, side)`` pairs in run order."""
+    where = {z: k for k, (members, _) in enumerate(blocks) for z in members}
+    i, j = where[x], where[y]
+    if i == j:
+        return True  # within a block only the order itself decides
+    if i < j:
+        return blocks[j][1] == "RIGHT"
+    return blocks[i][1] == "LEFT"
+
+
 def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None, elements_wanted=None):
     """The two-ended block run with no pruning: every new pivot asks the
     interval oracle from every earlier pivot and from itself.

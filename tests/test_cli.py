@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taulike.cli
+import taulike.harness
 import taulike.poset
+import taulike.streams
 from taulike import TooLarge, make_embed_gadget
 from taulike.cli import main
 from taulike.poset import (
@@ -490,6 +492,28 @@ def test_every_gadget_written_reads_back(tmp_path, monkeypatch, what):
         prefix.write_text(json.dumps(doc["prefix"]))
         order = run_cli("linearize", "--kind", "omega", "--input", str(prefix), "--elements", str(limit))
         assert sorted(order["order"]) == sorted(doc["prefix"]["elements"])
+
+
+class _Pulled(Exception):
+    """Raised in place of take: the audit got past the work limit."""
+
+
+def _refuse_pull(*args, **kwargs):
+    raise _Pulled
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_an_audit_over_the_work_limit_is_refused_before_take(monkeypatch, command):
+    for module in (taulike.streams, taulike.harness):  # the auditors' take
+        monkeypatch.setattr(module, "take", _refuse_pull)
+    monkeypatch.setattr(taulike.streams.StreamPoset, "element_at", _refuse_pull)
+    limit = taulike.cli.MAX_AUDIT_ELEMENTS
+    err = run_cli_error(command, "--family", "omega", "--elements", str(limit + 1))
+    assert err["code"] == "TooLarge"
+    assert f"an audit of {limit + 1} elements exceeds the limit of {limit}" in err["detail"]
+    # at the limit the audit goes on to pull its prefix
+    with pytest.raises(_Pulled):
+        main([command, "--family", "omega", "--elements", str(limit)])
 
 
 def test_a_poset_with_more_covers_than_the_guard_is_not_written(monkeypatch):

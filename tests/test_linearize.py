@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import operator
 import random
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from taulike import (
 from taulike.kinds import BlockSide, FinSide
 from taulike.linearize import _block_run
 from taulike.streams import (
+    IdRuns,
     OracleBundle,
     StreamPoset,
     antichain_stream,
@@ -532,7 +534,133 @@ def test_split_missing_side_answer():
         split_linearize(s, 2)
 
 
+_TWO_CHAINS_10 = (0, 2, 4, 6, 8, 9, 7, 5, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "answer, outcome",
+    [
+        (FinSide.FIN_PRED, _TWO_CHAINS_10),
+        ("FIN_PRED", _TWO_CHAINS_10),
+        (FinSide.FIN_SUCC, (OracleMissing, "successors oracle returned no finite answer for (4,)")),
+        ("FIN_SUCC", (OracleMissing, "successors oracle returned no finite answer for (4,)")),
+        ("garbage", (FormatError, "side oracle answered 'garbage' for element 4")),
+        (None, (OracleMissing, "side oracle gave no class for element 4")),
+    ],
+    ids=["member FIN_PRED", "string FIN_PRED", "member FIN_SUCC", "string FIN_SUCC", "garbage", "none"],
+)
+def test_split_reads_every_shape_of_side_answer(answer, outcome):
+    # Element 4 of the two chains answers ``answer``; results and texts
+    # are the ones captured before members skipped the string reading.
+    s = omega_plus_omega_star_stream()
+    inner = s.oracles.side
+    s.oracles = dataclasses.replace(s.oracles, side=lambda x: answer if x == 4 else inner(x))
+    if outcome == _TWO_CHAINS_10:
+        assert tuple(split_linearize(s, 10)) == outcome
+        return
+    error, text = outcome
+    with pytest.raises(error) as err:
+        split_linearize(s, 10)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (omega_plus_omega_star_stream, 300),
+        (lambda: make_range_gadget("perm:2,5,1,7,0,4,3,6;gap:2").stream, 300),
+        (lambda: stream_from_finite(random_poset(40, 0.2, 3), side=lambda x: FinSide.FIN_PRED), 40),
+    ],
+)
+def test_split_checks_each_enumerated_id_once(monkeypatch, make, n):
+    stages = Counter()
+    inner = StreamPoset.element_at
+
+    def counted(stream, stage):
+        stages[stage] += 1
+        return inner(stream, stage)
+
+    monkeypatch.setattr(StreamPoset, "element_at", counted)
+    order = split_linearize(make(), n)
+    assert len(order) >= n
+    assert stages == Counter(range(n))
+
+
+def _split_by_the_restated_rule(stream, n):
+    """The split run, restated: the first ``n`` ids parted by side, each part
+    run by ``brute.cone_blocks`` and laid out by ``brute.insertion_order``."""
+    ids = [stream.element_at(k) for k in range(n)]
+    fin = {x: FinSide(stream.oracles.side(x)) for x in ids}
+    low = brute.cone_blocks([x for x in ids if fin[x] is FinSide.FIN_PRED], stream.oracles.predecessors)
+    high = brute.cone_blocks([x for x in ids if fin[x] is FinSide.FIN_SUCC], stream.oracles.successors)
+    low_order = [y for _, members in low for y in brute.insertion_order(members, stream.leq)]
+    high_order = [y for _, members in reversed(high) for y in brute.insertion_order(members, stream.leq)]
+    sides = {x: FinSide.FIN_PRED for x in low_order} | {x: FinSide.FIN_SUCC for x in high_order}
+    return low_order + high_order, sides
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    marked=st.integers(0, 30),
+    wanted=st.integers(0, 30),
+)
+def test_split_runs_match_the_restated_rule_on_random_finite(n, density, seed, marked, wanted):
+    # The down-set below ``marked`` drawn elements is FIN_PRED, the rest FIN_SUCC.
+    rng = random.Random(seed)
+    base = random_poset(n, density, seed)
+    p = base.restrict(rng.sample(base.elements, n))
+    marks = rng.sample(p.elements, min(marked, n))
+    down = {y for x in marks for y in p.predecessors(x)}
+
+    def side(x):
+        return FinSide.FIN_PRED if x in down else FinSide.FIN_SUCC
+
+    wanted = min(wanted, n)
+    order = split_linearize(stream_from_finite(p, side=side), wanted)
+    want_order, want_sides = _split_by_the_restated_rule(stream_from_finite(p, side=side), wanted)
+    assert list(order) == want_order
+    assert dict(order.sides) == want_sides
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.integers(1, 6).flatmap(lambda w: st.permutations(range(w))),
+    gap=st.integers(0, 3),
+    wanted=st.integers(0, 120),
+)
+def test_split_runs_match_the_restated_rule_on_range_gadgets(head, gap, wanted):
+    spec = f"perm:{','.join(map(str, head))};gap:{gap}"
+    order = split_linearize(make_range_gadget(spec).stream, wanted)
+    want_order, want_sides = _split_by_the_restated_rule(make_range_gadget(spec).stream, wanted)
+    assert list(order) == want_order
+    assert dict(order.sides) == want_sides
+
+
 # -- budgets and dispatch ---------------------------------------------------------------
+
+
+def _none_at(fn, k):
+    return lambda *args: None if k in args else fn(*args)
+
+
+@pytest.mark.parametrize(
+    "run, name, make, text",
+    [
+        (omega_linearize, "predecessors", omega_stream, "predecessors oracle returned no finite answer for (3,)"),
+        (omega_star_linearize, "successors", omega_star_stream, "successors oracle returned no finite answer for (3,)"),
+        (zeta_linearize, "interval", zeta_stream, "interval oracle returned no finite answer for (2, 3)"),
+    ],
+)
+def test_a_none_answer_ends_the_run_in_oracle_missing(run, name, make, text):
+    # The texts were captured before the runs checked their answers inline.
+    stream = make()
+    stream.oracles = dataclasses.replace(stream.oracles, **{name: _none_at(getattr(stream.oracles, name), 3)})
+    with pytest.raises(OracleMissing) as err:
+        run(stream, 10)
+    assert str(err.value) == text
 
 
 def test_budgets_blocks_wins_over_elements():
@@ -568,11 +696,12 @@ def test_placement_debug_view_consistent_with_order():
         zeta_linearize(zeta_stream(), 8),
         zeta_linearize(zeta_stream(1), 8),
     ):
+        placed = [(b.members, b.side) for b in blocks]
         for x in order:
             for y in order:
                 if x != y and blocks.block_of(x) != blocks.block_of(y):
                     # across blocks the placement decides the realized line
-                    assert blocks.placement_le(x, y) == order.precedes(x, y)
+                    assert brute.placement_le(placed, x, y) == order.precedes(x, y)
 
 
 # -- the pivot scan's liveness guard ----------------------------------------------
@@ -662,23 +791,46 @@ _ANSWERS = st.one_of(
 )
 
 
-def _run_of_answers(order: list[int], answers: list, listed: bool) -> list:
-    """Every block of a run whose k-th step answers ``answers[k % len(answers)]``."""
+# How the k-th step's answer is shaped around its pivot p, given the earlier pivots.
+_SHAPES = {
+    "as drawn": lambda p, ans, earlier: ans,
+    "without the pivot": lambda p, ans, earlier: [y for y in ans if y != p],
+    "the pivot twice": lambda p, ans, earlier: [p, *ans, p],
+    "absorbed ids": lambda p, ans, earlier: [*earlier, *ans],
+    "a range past the pivot": lambda p, ans, earlier: range(p + 1, p + 1 + len(ans)),
+    "id runs": lambda p, ans, earlier: IdRuns([ans, [p], range(p - 1, -1, -2)]),
+}
+
+
+def _cone_of_answers(answers: list, shape: str, listed: bool):
+    """A cone whose k-th call answers ``answers[k % len(answers)]``, shaped."""
+    earlier: list[int] = []
+
+    def cone(pivot: int):
+        ans = _SHAPES[shape](pivot, answers[len(earlier) % len(answers)], list(earlier))
+        earlier.append(pivot)
+        return list(ans) if listed else ans
+
+    return cone
+
+
+def _run_of_answers(order: list[int], answers: list, listed: bool, shape: str = "as drawn") -> list:
+    """Every block of a run whose steps answer with :func:`_cone_of_answers`."""
     stream = StreamPoset(lambda s: order[s], operator.le, size=len(order))
-    asked = iter(range(len(order)))
-
-    def step(pivot: int):
-        ans = answers[next(asked) % len(answers)]
-        return (list(ans) if listed else ans), BlockSide.RIGHT
-
-    return list(_block_run(stream, step))
+    cone = _cone_of_answers(answers, shape, listed)
+    return list(_block_run(stream, lambda pivot: (cone(pivot), BlockSide.RIGHT)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.permutations(range(30)), st.lists(_ANSWERS, min_size=1, max_size=30))
-def test_range_answers_give_the_blocks_of_their_listings(order, answers):
-    # Steps of either sign, empty and overlapping ranges, lists among them.
-    assert _run_of_answers(order, answers, False) == _run_of_answers(order, answers, True)
+@given(st.permutations(range(30)), st.lists(_ANSWERS, min_size=1, max_size=30), st.sampled_from(sorted(_SHAPES)))
+def test_range_answers_give_the_blocks_of_their_listings(order, answers, shape):
+    # Steps of either sign, empty and overlapping ranges, lists among them,
+    # and answers that omit the pivot, repeat it, or name absorbed ids.
+    run = _run_of_answers(order, answers, False, shape)
+    assert run == _run_of_answers(order, answers, True, shape)
+    want = brute.cone_blocks(order, _cone_of_answers(answers, shape, True))
+    assert [(b.pivot, b.members) for b, _ in run] == want
+    assert [seg for _, seg in run] == [brute.insertion_order(members, operator.le) for _, members in want]
 
 
 @pytest.mark.parametrize(
