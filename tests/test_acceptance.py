@@ -421,3 +421,8 @@ def test_seeded_fault_reports_are_pinned():
     # The golden file pins the order of the violations, not only their kinds.
     golden = json.loads((Path(__file__).parent / "golden" / "oracle_seeded_faults.json").read_text())
     assert {kind: validate_oracles(stream, 150).to_json_dict() for stream, kind in _fault_fixtures()} == golden
+
+
+def test_seeded_fault_reports_at_the_benchmark_2n_prefix_are_pinned():
+    golden = json.loads((Path(__file__).parent / "golden" / "oracle_seeded_faults_300.json").read_text())
+    assert {kind: validate_oracles(stream, 300).to_json_dict() for stream, kind in _fault_fixtures()} == golden

@@ -514,6 +514,11 @@ def _lie(fn, subject, fault, pick, extra):
             return ans + ans[at:at + 1]
         if fault == "swap":  # the first listed id, which is always verified, gives way
             return [extra] + ans[1:]
+        if fault == "ends":  # an interval answer [x, y] owes every prefix id between them
+            return ans[:1] + ans[-1:]
+        if fault == "beyond":  # 60 ids past the answer's top, in and outside the prefix
+            top = max(ans, default=extra)
+            return ans + list(range(top + 1, top + 61))
         return ans + [extra]  # "extra" names any element, "outside" one past the prefix
 
     return lying
@@ -530,15 +535,22 @@ def _lying_audits(draw):
         outside = universe[s:]
     else:
         stream = _spaced_naturals(draw(st.integers(1500, 9000)))
-        s = draw(st.integers(1, 30))
+        # Now and then 53+ elements: an interval answer naming only its ends
+        # misses 51+ prefix ids.  Rarely, as every interval is audited.
+        long = draw(st.sampled_from(["short"] * 9 + ["long"])) == "long"
+        s = draw(st.integers(53, 56) if long else st.integers(1, 30))
         inside = take(stream, s)
         outside = [inside[-1] + 3, inside[-1] + 10, inside[0] + 1, inside[0] // 2]
         universe = inside + outside
     bundle = stream.oracles
     names = [name for name in ("predecessors", "successors", "interval") if getattr(bundle, name)]
+    # Faults past the 50-violation cap; a finite poset has no 60 ids to name beyond an answer.
+    capped = ["ends"] + ["beyond"] * (stream.name == "spaced")
     for _ in range(draw(st.integers(0, 4))):
         name = draw(st.sampled_from(names))
-        fault = draw(st.sampled_from(["drop", "dup", "extra", "outside", "swap"] + ["every-interval"] * (name == "interval")))
+        fault = draw(st.sampled_from(
+            ["drop", "dup", "extra", "outside", "swap"] + capped + ["every-interval"] * (name == "interval")
+        ))
         pool = outside if fault in ("outside", "swap") and outside else universe
         lying = _lie(
             getattr(bundle, name), draw(st.sampled_from(inside)), fault,
@@ -606,6 +618,29 @@ def test_long_answers_are_sampled_like_the_per_answer_rule(hook):
     report = validate_oracles(stream, 5)
     assert [(v.kind, v.subject) for v in report.violations] == [("UNSOUND", (x, x + 1)) for x in take(stream, 5)]
     _assert_per_answer_rule(stream, 5)
+
+
+@pytest.mark.parametrize("hook", ["two", "one", "none"])
+def test_answers_past_the_cap_report_what_the_per_answer_rule_reports(hook):
+    stream = _with_hook(_spaced_naturals(1500), hook)
+    ids = take(stream, 60)
+    honest = stream.oracles
+    x, y = ids[3], ids[59]
+    queries = [
+        ("interval", 3, 59, [x, y]),  # 55 prefix ids missing
+        ("predecessors", 10, 10, honest.predecessors(ids[10]) + list(range(ids[10] + 1, ids[10] + 61))),
+    ]
+    screened = list(PrefixAudit(stream, ids).screen(queries))
+    for (name, i, j, ans), (_, found) in zip(queries, screened):
+        truth, compare, exempt = brute.listing_rule(ids, stream.leq, name, i, j)
+        assert found == check_listing(name, ids[i], ans, truth, compare, set(ids), exempt)
+        assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
+            name, ids[i], ans, truth, compare, set(ids), exempt
+        )
+        assert len(found) == 50
+    missing, unsound = ([v.subject[1] for v in found] for _, found in screened)
+    assert missing != sorted(missing)  # the set's order, not the prefix order
+    assert {y in set(ids) for y in unsound} == {True, False}
 
 
 # -- entries that are not ids ---------------------------------------------------
@@ -880,7 +915,7 @@ def test_id_runs_read_as_the_concatenation_of_their_parts():
 
 _STRAYS = [None, 1.5, 2.0, "3", "x", [1], [], (2,), True, False, -1, -5, np.int64(-4),
            np.float64(3.0), 2**63, 2**63 + 7, 2**64]
-_EDITS = ["honest", "undefined", "dup", "drop", "outside", "stray", "nest", "bool", "numpy"]
+_EDITS = ["honest", "undefined", "dup", "drop", "outside", "stray", "nest", "bool", "numpy", "ends", "beyond"]
 
 
 def _screened_stream(which: str) -> StreamPoset:
@@ -921,14 +956,21 @@ def _edit(ans, edit: str, k: int, outside: int, stray):
         return [bool(y) if type(y) is int and y in (0, 1) else y for y in ans]
     if edit == "numpy":
         return [np.int64(y) if type(y) is int and 0 <= y < 2**63 else y for y in ans]
+    if edit == "ends":  # [x, y] for an interval: past 50 missing ids on a long prefix
+        return ans[:1] + ans[-1:]
+    if edit == "beyond":  # 60 ids past the top: past 50 unsound ones, in and outside the prefix
+        top = max((y for y in ans if type(y) is int and 0 <= y < 2**62), default=0)
+        return ans + list(range(top + 1, top + 61))
     return ans
 
 
 @st.composite
 def _chunks(draw):
-    which = draw(st.sampled_from(["omega", "zeta", "range-gadget", "hookless"]))
-    stream = _screened_stream(which)
-    s = draw(st.integers(1, 30))
+    which = draw(st.sampled_from(["omega", "zeta", "range-gadget", "hookless", "spaced"]))
+    if which == "spaced":  # prefix ids 7 apart from 1,500 up, so a set of them is not in ascending order
+        stream, s = _spaced_naturals(draw(st.integers(1500, 9000))), draw(st.integers(1, 80))
+    else:
+        stream, s = _screened_stream(which), draw(st.integers(1, 30))
     ids = take(stream, s)
     bundle = stream.oracles
     names = [name for name in ("predecessors", "successors", "interval") if getattr(bundle, name)]
