@@ -319,8 +319,6 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
         return head + list(range(2 * max(high, window), 2 * low + 1, 2))
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
-            raise UnknownIdError("gadget ids are non-negative")
         n, m, ea, eb = a // 2, b // 2, a % 2 == 0, b % 2 == 0
         t_n, t_m = wit_arr[np.minimum(n, window)], wit_arr[np.minimum(m, window)]
         return (ea & eb & _stage_le(n, m, t_n, t_m)) | (~ea & ~eb & (a >= b))
@@ -465,13 +463,14 @@ def make_embed_gadget(spec: FunctionSpec | str) -> EmbedGadget:
         """f(n) for the stage n of each (odd) fan id."""
         k = np.maximum(arr - 1, 0) // 2
         n = ((np.sqrt(8.0 * k + 1.0) - 1.0) / 2.0).astype(np.int64)
-        n = np.where((n + 1) * (n + 2) // 2 <= k, n + 1, n)
-        n = np.where(n * (n + 1) // 2 > k, n - 1, n)
+        # Triangle numbers in uint64: (n + 1)(n + 2) passes 2**63 on the last fans below it.
+        ku, u = k.astype(np.uint64), n.astype(np.uint64)
+        n = np.where((u + 1) * (u + 2) // 2 <= ku, n + 1, n)
+        u = n.astype(np.uint64)
+        n = np.where(u * (u + 1) // 2 > ku, n - 1, n)
         return np.where(n < window, head_vals[np.minimum(n, window)], n + fspec.gap)
 
     def rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.min(initial=0) < 0 or b.min(initial=0) < 0:
-            raise UnknownIdError("gadget ids are non-negative")
         fan_below_top = (a % 2 == 1) & (b % 2 == 0) & (fan_value(a) <= b // 2)
         return fan_below_top | (a == b)
 

@@ -168,9 +168,11 @@ def check_kinds(
     ``predecessors(x)`` and ``successors(x)`` as omega, omega-star or the side
     ask for them, then ``interval(ids[0], x)`` for zeta.  Each answer is
     screened once and credited to every kind that relies on it; no answer is
-    kept past its chunk.  A bulk-hook fault found anywhere in the call is the
-    first note of every report; without one, each partial-order axiom the
-    prefix relation breaks heads every report.
+    kept past its chunk.  A faulty answer's note names the first violation
+    :func:`check_listing` reports and how many more it reports, so the
+    screen builds only that one.  A bulk-hook fault found anywhere in the
+    call is the first note of every report; without one, each partial-order
+    axiom the prefix relation breaks heads every report.
     """
     if isinstance(target, FinitePoset):
         return [_finite_report(target, kind) for kind in kinds]
@@ -207,16 +209,16 @@ def check_kinds(
                 fn = bundle.interval
                 yield "interval", 0, i, fn(first, x) if fn else None, zeta
 
-    for (name, _, j, ans, credited), found in audit.screen(queries()):
+    for (name, _, j, ans, credited), found in audit.screen(queries(), first_only=True):
         x = ids[j]
         for kind in credited:
             if ans is None:
                 notes[kind][j] = f"element {x} has no finite answer for {kind.value}"
                 continue
-            counts[kind][x] = _others_listed(ans, x, found)
-            if found:
-                v = found[0]
-                more = f" and {len(found) - 1} more" if len(found) > 1 else ""
+            v, count = found
+            counts[kind][x] = _others_listed(ans, x, count)
+            if v is not None:
+                more = f" and {count - 1} more" if count > 1 else ""
                 notes[kind][j] = f"{v.kind.lower()} {name} answer for {x}: {v.detail} ({v.subject[1]}){more}"
     # A lying hook's matrix says nothing about leq, so its note stands alone.
     fault = audit.hook_fault
@@ -231,9 +233,9 @@ def check_kinds(
     return reports
 
 
-def _others_listed(ans: Sequence[int], x: int, found: list) -> int:
-    """How many ids other than ``x`` an answer lists; one that passed lists nothing twice."""
-    if not found:
+def _others_listed(ans: Sequence[int], x: int, faults: int) -> int:
+    """How many ids other than ``x`` an answer lists; one with no faults lists nothing twice."""
+    if not faults:
         return answer_size(ans) - (x in ans)
     return distinct_ids(ans, x)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import inspect
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -113,7 +114,9 @@ class StreamPoset:
     back to ``leq``, which is called on Python ints.  Every cell must agree
     with ``leq``; the oracle auditors spot-check that, and decide the ids an
     oracle answer lists outside the audited prefix with one rectangle per
-    answer, passing those ids as an int64 array.
+    answer, passing those ids as an int64 array.  ``leq`` refuses an id
+    outside ``0 <= id < 2**63`` with :class:`UnknownIdError`, and so do the
+    library streams' hooks.
     """
 
     def __init__(
@@ -155,6 +158,8 @@ class StreamPoset:
         return self._cache[stage]
 
     def leq(self, x: int, y: int) -> bool:
+        if not (0 <= x < ID_LIMIT and 0 <= y < ID_LIMIT):
+            raise UnknownIdError(f"ids are the ints 0 <= id < 2**63, got ({x}, {y})")
         return bool(self._leq(x, y))
 
     def relation_matrix(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
@@ -186,14 +191,30 @@ def _takes_cols(hook) -> bool:
 
 
 def _bulk(rel: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """A two-list ``leq_block`` hook from a vectorised comparison of id arrays."""
+    """A two-list ``leq_block`` hook from a vectorised comparison of id arrays.
+
+    Like :meth:`StreamPoset.leq`, it refuses an id outside ``0 <= id < 2**63``
+    with :class:`UnknownIdError`.
+    """
 
     def hook(rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
-        r = np.asarray(rows, dtype=np.int64)
-        c = r if cols is None else np.asarray(cols, dtype=np.int64)
+        r = _domain_ids(rows)
+        c = r if cols is None else _domain_ids(cols)
         return rel(r[:, None], c[None, :])
 
     return hook
+
+
+def _domain_ids(ids: Sequence[int]) -> np.ndarray:
+    """``ids`` as an int64 array, or :class:`UnknownIdError` naming the first id outside the domain."""
+    try:
+        a = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is None or a.min(initial=0) < 0:
+        y = next(y for y in ids if not 0 <= y < ID_LIMIT)
+        raise UnknownIdError(f"ids are the ints 0 <= id < 2**63, got {y}")
+    return a
 
 
 def take(stream: StreamPoset, count: int) -> list[int]:
@@ -279,7 +300,7 @@ class ValidationReport:
 _FULL_CHECK_ELEMENTS = 300  # above this, per-element checks are sampled
 _FULL_CHECK_INTERVAL = 120  # above this, interval pairs are sampled
 _ANSWER_SOUND_CAP = 2000  # listed members verified per answer before sampling
-_MAX_RECORDED = 50  # violations recorded per oracle before truncating
+_MAX_RECORDED = 50  # violations recorded per answer before truncating
 _CHUNK_IDS = 1 << 13  # listed ids screened together; bounds what a chunk holds
 _CHUNK_CELLS = 1 << 16  # truth-matrix cells screened together
 _SPOT_CELLS = 256  # bulk-hook cells compared with leq on the prefix square
@@ -412,6 +433,19 @@ def distinct_ids(ans, other_than: int) -> int:
     return len(set(chain.from_iterable(parts)) - {other_than})
 
 
+_FAILS = "listed element fails the comparison"
+_MISSING = "in-prefix element is missing"
+
+
+def _listing(ans) -> range | list[int]:
+    """An answer as :func:`check_listing` reads it: one ``range``, or a list of ints.
+
+    Raises :class:`_NotAnId` with the first entry that lists no id.
+    """
+    parts = [_as_ids(part) for part in _parts(ans)]
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+
 def check_listing(
     oracle: str,
     x: int,
@@ -434,10 +468,9 @@ def check_listing(
     ``_MAX_RECORDED`` violations return.
     """
     try:
-        parts = [_as_ids(part) for part in _parts(ans)]
+        ans = _listing(ans)
     except _NotAnId as exc:
         return [Violation("UNSOUND", oracle, (x, exc.args[0]), "listed element is not an id")]
-    ans = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
     listed = set(ans)
     if len(listed) != len(ans):
         seen: set[int] = set()
@@ -450,11 +483,11 @@ def check_listing(
     for y in to_verify:
         sound = y in truth if y in id_set else compare(y)
         if not sound:
-            found.append(Violation("UNSOUND", oracle, (x, y), "listed element fails the comparison"))
+            found.append(Violation("UNSOUND", oracle, (x, y), _FAILS))
             if len(found) >= _MAX_RECORDED:
                 return found
     for y in truth - listed - set(exempt):
-        found.append(Violation("INCOMPLETE", oracle, (x, y), "in-prefix element is missing"))
+        found.append(Violation("INCOMPLETE", oracle, (x, y), _MISSING))
         if len(found) >= _MAX_RECORDED:
             return found
     return found
@@ -506,8 +539,10 @@ class PrefixAudit:
     disjoint spans lists no id twice; any other is listed whole and checked
     for repeats.  The sampled ids an answer lists outside the prefix are
     decided in answer order by one rectangular ``relation_matrix`` per
-    answer.  Only answers that may be faulty go through :func:`check_listing`,
-    so violations read as if every answer had.  Wherever the stream's bulk
+    answer.  Only answers that may be faulty are judged, so violations read
+    as if every answer had gone through :func:`check_listing`: one with an
+    entry that is not an id or an id listed twice goes through it, any other
+    is judged by its rule from the arrays the screen built.  Wherever the stream's bulk
     hook built a matrix, sampled cells are compared with ``leq``; the first
     disagreement is kept in ``hook_fault``.
     ``relation_faults`` lists what is wrong with the prefix relation itself:
@@ -519,9 +554,9 @@ class PrefixAudit:
         self.stream, self.ids, self.id_set = stream, ids, set(ids)
         self.m = stream.relation_matrix(ids)
         self.mt = np.ascontiguousarray(self.m.T)
-        arr = np.asarray(ids, dtype=np.int64)
-        self.order = np.argsort(arr).astype(np.int32)
-        self.sorted = arr[self.order]
+        self.arr = np.asarray(ids, dtype=np.int64)
+        self.order = np.argsort(self.arr).astype(np.int32)
+        self.sorted = self.arr[self.order]
         self.rng = random.Random(len(ids) * 7919 + 13)
         self.hook_fault: Violation | None = None
         if stream._leq_block is not None:
@@ -563,13 +598,16 @@ class PrefixAudit:
             rows[iv] = (self.m[a] & self.mt[b]) | (self.m[b] & self.mt[a])
         return rows
 
-    def screen(self, queries: Iterable[tuple]) -> Iterator[tuple[tuple, list[Violation] | None]]:
+    def screen(self, queries: Iterable[tuple], first_only: bool = False) -> Iterator[tuple[tuple, object]]:
         """Yield ``(query, violations)`` per query in order, ``None`` for an undefined answer.
 
         Answers are listed as they arrive (a list, ``range`` or
         :class:`IdRuns` answer is kept as it is) and checked once a chunk
         holds ``_CHUNK_IDS`` listed ids or ``_CHUNK_CELLS`` truth cells; the
-        chunk is dropped once it is yielded.
+        chunk is dropped once it is yielded.  With ``first_only``, a defined
+        answer's violations come as ``(first, count)``: the first violation
+        :func:`check_listing` reports (None when it reports none) and how
+        many it reports.
         """
         rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
         batch: list[tuple] = []
@@ -585,26 +623,36 @@ class PrefixAudit:
                 listed += answer_size(ans)
             batch.append(q)
             if listed >= _CHUNK_IDS or len(batch) >= rows_cap:
-                yield from self._flush(batch)
+                yield from self._flush(batch, first_only)
                 batch, listed = [], 0
-        yield from self._flush(batch)
+        yield from self._flush(batch, first_only)
 
-    def _flush(self, batch: list[tuple]):
-        flag, truth = self._suspects([q for q in batch if q[3] is not None])
+    def _flush(self, batch: list[tuple], first_only: bool):
+        flag, odd, truth, entries = self._suspects([q for q in batch if q[3] is not None])
         r = 0
         for q in batch:
             if q[3] is None:
                 yield q, None
                 continue
-            yield q, self._check(q, truth[r]) if flag[r] else []
+            if not flag[r]:
+                found = (None, 0) if first_only else []
+            else:
+                found = self._check(q, truth[r], None if odd[r] else entries(r), first_only)
+            yield q, found
             r += 1
 
-    def _suspects(self, qs: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Which answers might fail :func:`check_listing` (the rest pass it), and their truth rows."""
+    def _suspects(self, qs: list[tuple]) -> tuple:
+        """Which answers might fail :func:`check_listing` (the rest pass it), and what judges them.
+
+        Returns the flags; which flagged answers list an entry that is not an
+        id or an id twice (``odd``, left to :func:`check_listing`); every
+        answer's truth row; and ``entries(r)``, what :meth:`_check` reads of
+        any other flagged answer r.
+        """
         n, k = len(self.ids), len(qs)
-        flag = np.zeros(k, dtype=bool)
+        flag, odd = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
         if not k:
-            return flag, np.zeros((0, n), dtype=bool)
+            return flag, odd, np.zeros((0, n), dtype=bool), None
         names = [q[0] for q in qs]
         i = np.array([q[1] for q in qs], dtype=np.int64)
         j = np.array([q[2] for q in qs], dtype=np.int64)
@@ -626,7 +674,7 @@ class PrefixAudit:
             try:
                 parts = [_as_ids(ans)] if isinstance(ans, range) else [*map(_as_ids, ans.parts)]
             except _NotAnId:
-                flag[r] = True
+                odd[r] = True
                 continue
             if len(parts) > 1 and not _repeat_free(parts):
                 parts = [list(chain.from_iterable(parts))]
@@ -646,7 +694,7 @@ class PrefixAudit:
             arrays = [_id_array(part) for part in lists]
             for t, a in enumerate(arrays):
                 if a is None:
-                    flag[list_at[3 * t + 1]], arrays[t] = True, _NO_IDS
+                    odd[list_at[3 * t + 1]], arrays[t] = True, _NO_IDS
             lists = arrays
             flat = np.concatenate([_NO_IDS, *arrays])
         lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
@@ -654,7 +702,7 @@ class PrefixAudit:
         # Each listed id's place and answer.
         at = np.array(list_at, dtype=np.int64).reshape(-1, 3)
         place, seg = np.repeat(at[:, 0], lens), np.repeat(at[:, 1], lens)
-        flag[seg[flat < 0]] = True
+        odd[seg[flat < 0]] = True
         # A repeated id: only lists that do not strictly increase are sorted.
         rough = np.zeros(k, dtype=bool)
         rough[seg[1:][(flat[1:] <= flat[:-1]) & (seg[1:] == seg[:-1])]] = True
@@ -663,7 +711,7 @@ class PrefixAudit:
             fs, ss = flat[keep], seg[keep]
             o = np.lexsort((fs, ss))
             fs, ss = fs[o], ss[o]
-            flag[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
+            odd[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
         # check_listing verifies the entries at every stride-th offset of an answer.
         stride = np.maximum(np.array(size, dtype=np.int64) // _ANSWER_SOUND_CAP, 1)
         if stride.max() > 1:
@@ -704,9 +752,12 @@ class PrefixAudit:
         hit[si, ci] = True
         cone = np.array([name != "interval" for name in names], dtype=bool)
         hit[cone, i[cone]] = True
-        flag |= (truth & ~hit).any(axis=1)
+        miss = truth & ~hit
+        flag = odd | miss.any(axis=1)
         # Soundness of the listed ids check_listing samples.
-        flag[si[~truth[si, ci] & sampled[inside]]] = True
+        owed = np.zeros(len(flat), dtype=bool)
+        owed[inside] = truth[si, ci]
+        flag[seg[inside & ~owed & sampled]] = True
         # One rectangle per answer for the sampled ids outside the prefix, in
         # answer order: list and range parts are each in order, so a stable
         # sort by place merges them.
@@ -716,7 +767,13 @@ class PrefixAudit:
         for r in np.flatnonzero(np.diff(bounds)).tolist():
             zs = flat[out[bounds[r] : bounds[r + 1]]]
             flag[r] = not self._sound_outside(names[r], i[r], j[r], zs).all()
-        return flag, truth
+        judged = flag & ~odd
+        if not judged.any():
+            return flag, odd, truth, None
+        # The sampled entries of the answers _check judges, in listing order.
+        e = np.flatnonzero(sampled & judged[seg])
+        e = e[np.argsort(place[e], kind="stable")]
+        return flag, odd, truth, _entries(flat[e], seg[e], inside[e] & ~owed[e], ~inside[e], miss)
 
     def _sound_outside(self, name: str, i: int, j: int, zs: np.ndarray) -> np.ndarray:
         x = self.ids[i]
@@ -728,18 +785,85 @@ class PrefixAudit:
         up, down = self._rect([x, y], zs), self._rect(zs, [x, y])
         return (up[0] & down[:, 1]) | (up[1] & down[:, 0])
 
-    def _check(self, q: tuple, row: np.ndarray) -> list[Violation]:
-        """:func:`check_listing` on one query, given its truth row."""
-        name, i, j, ans = q[:4]
-        ids, leq = self.ids, self.stream.leq
-        x = ids[i]
-        truth = {ids[k] for k in np.flatnonzero(row).tolist()}
+    def _compare(self, name: str, i: int, j: int) -> Callable[[int], bool]:
+        """How :func:`check_listing` decides a listed id outside the prefix: the scalar ``leq``."""
+        x, leq = self.ids[i], self.stream.leq
         if name == "interval":
-            y = ids[j]
-            compare = lambda z: (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))  # noqa: E731
-            return check_listing(name, x, ans, truth, compare, self.id_set)
-        compare = (lambda z: leq(z, x)) if name == "predecessors" else (lambda z: leq(x, z))
-        return check_listing(name, x, ans, truth, compare, self.id_set, exempt={x})
+            y = self.ids[j]
+            return lambda z: (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))
+        return (lambda z: leq(z, x)) if name == "predecessors" else (lambda z: leq(x, z))
+
+    def _owed(self, row: np.ndarray) -> set[int]:
+        """The ids a truth row owes, as a set built in prefix order."""
+        return set(self.arr[row].tolist())
+
+    def _check(self, q: tuple, row: np.ndarray, entries: tuple | None, first_only: bool):
+        """What :func:`check_listing` reports on one flagged query, given its truth row.
+
+        An answer with an entry that is not an id, or with an id listed
+        twice, has no ``entries`` and goes through :func:`check_listing`.
+        Any other is judged from the screen's arrays (see :func:`_entries`).
+        Its sampled ids outside the prefix get the scalar comparison in
+        listing order until ``_MAX_RECORDED`` violations are found, as
+        there.  Its missing ids come in the order of check_listing's set
+        difference, which is built only when two or more are missing and
+        there is room to report them.  With ``first_only``, the report is
+        ``(first violation or None, count)``.
+        """
+        name, i, j, ans = q[:4]
+        x = self.ids[i]
+        if entries is None:
+            exempt = frozenset() if name == "interval" else {x}
+            found = check_listing(name, x, ans, self._owed(row), self._compare(name, i, j), self.id_set, exempt)
+            return (found[0] if found else None, len(found)) if first_only else found
+        bad_at, unsound, out_at, out_ys, gaps, gap = entries
+        if out_ys:
+            compare, failed = self._compare(name, i, j), []
+            for at, z in zip(out_at, out_ys):
+                if bisect_left(bad_at, at) + len(failed) >= _MAX_RECORDED:
+                    break  # check_listing has returned by here
+                if not compare(z):
+                    failed.append((at, z))
+            if failed:
+                unsound = [z for _, z in sorted([*zip(bad_at, unsound), *failed])][:_MAX_RECORDED]
+        room = _MAX_RECORDED - len(unsound)
+        count = len(unsound) + min(gaps, room)
+        if first_only and unsound:
+            return Violation("UNSOUND", name, (x, unsound[0]), _FAILS), count
+        if gaps > 1 and room:  # check_listing's set, for its iteration order
+            exempt = set() if name == "interval" else {x}
+            absent = islice(self._owed(row) - set(_listing(ans)) - exempt, room)
+        else:
+            absent = [self.ids[gap]] if gaps and room else []
+        if first_only:
+            return (Violation("INCOMPLETE", name, (x, next(iter(absent))), _MISSING) if count else None), count
+        return [Violation("UNSOUND", name, (x, y), _FAILS) for y in unsound] + [
+            Violation("INCOMPLETE", name, (x, y), _MISSING) for y in absent
+        ]
+
+
+def _entries(ys, seg, bad, out, miss) -> Callable[[int], tuple]:
+    """What :meth:`PrefixAudit._check` reads of a chunk's judged answers.
+
+    ``ys`` and ``seg`` are the sampled entries of those answers and their
+    answer, in listing order; ``bad`` marks the prefix ids check_listing
+    would call unsound and ``out`` the ids outside the prefix; ``miss`` marks
+    the owed prefix positions each answer does not list.  For answer r, the
+    function gives the listing places and ids of its first ``_MAX_RECORDED``
+    bad entries, those of its outside entries, how many owed ids it misses
+    and the prefix position of the first.
+    """
+    edges = np.arange(len(miss) + 1)
+    at = np.flatnonzero(bad)
+    first = np.searchsorted(seg[at], seg[at])  # each answer's first bad entry
+    at = at[np.arange(len(at)) - first < _MAX_RECORDED]
+    lists = [(a.tolist(), ys[a].tolist(), np.searchsorted(seg[a], edges).tolist()) for a in (at, np.flatnonzero(out))]
+    gaps, gap = miss.sum(axis=1).tolist(), miss.argmax(axis=1).tolist()
+
+    def of(r: int) -> tuple:
+        return (*(v[b[r] : b[r + 1]] for places, ids, b in lists for v in (places, ids)), gaps[r], gap[r])
+
+    return of
 
 
 def validate_oracles(stream: StreamPoset, s: int) -> ValidationReport:

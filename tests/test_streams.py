@@ -27,6 +27,7 @@ from taulike import (
 )
 from taulike.kinds import FinSide
 from taulike.streams import (
+    STREAM_FAMILIES,
     IdRuns,
     OracleBundle,
     PrefixAudit,
@@ -154,6 +155,43 @@ def test_relation_matrix_block_matches_scalar():
         for i, x in enumerate(rows):
             for j, y in enumerate(cols):
                 assert bool(block[i, j]) == s.leq(x, y), (s.name, x, y)
+
+
+# Ids drawn at and past both ends of the domain 0 <= id < 2**63.
+_EDGE_IDS = st.one_of(
+    st.integers(-(2**64), -1),
+    st.integers(0, 60),
+    st.integers(2**63 - 60, 2**63 + 60),
+    st.integers(2**62, 2**63 - 1),
+    st.integers(2**63, 2**65),
+)
+_DOMAIN_STREAMS = {
+    **STREAM_FAMILIES,
+    "range-gadget": lambda: make_range_gadget("perm:2,0,3,1;gap:2").stream,
+    "embed-gadget": lambda: make_embed_gadget("perm:2,0,3,1;gap:2").stream,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_DOMAIN_STREAMS)), x=_EDGE_IDS, y=_EDGE_IDS)
+@example(name="embed-gadget", x=2**63 - 99, y=6_074_000_998)  # the last fan below 2**63, at the top over it
+def test_leq_and_the_hook_agree_or_both_refuse_an_id_outside_the_domain(name, x, y):
+    from taulike import UnknownIdError
+
+    stream = _DOMAIN_STREAMS[name]()
+    asks = (
+        lambda: stream.leq(x, y),
+        lambda: bool(stream.relation_matrix([x], [y])[0, 0]),
+        lambda: bool(stream.relation_matrix([x, y])[0, 1]),
+    )
+    outcomes = set()
+    for ask in asks:
+        try:
+            outcomes.add(ask())
+        except UnknownIdError:
+            outcomes.add("refused")
+    assert len(outcomes) == 1, outcomes
+    assert (outcomes == {"refused"}) == (not (0 <= x < 2**63 and 0 <= y < 2**63))
 
 
 def test_one_list_hook_serves_squares_and_leq_serves_rectangles():
