@@ -542,9 +542,9 @@ class PrefixAudit:
     answer.  Only answers that may be faulty are judged, so violations read
     as if every answer had gone through :func:`check_listing`: one with an
     entry that is not an id or an id listed twice goes through it, any other
-    is judged by its rule from the arrays the screen built.  Wherever the stream's bulk
-    hook built a matrix, sampled cells are compared with ``leq``; the first
-    disagreement is kept in ``hook_fault``.
+    is judged by its rule from the arrays the screen built.  Wherever the
+    stream's bulk hook built a matrix, sampled cells are compared with
+    ``leq``; the first disagreement is kept in ``hook_fault``.
     ``relation_faults`` lists what is wrong with the prefix relation itself:
     a hook fault found on the prefix square, then each partial-order axiom
     the square breaks.
@@ -812,8 +812,8 @@ class PrefixAudit:
         """
         name, i, j, ans = q[:4]
         x = self.ids[i]
+        exempt = set() if name == "interval" else {x}
         if entries is None:
-            exempt = frozenset() if name == "interval" else {x}
             found = check_listing(name, x, ans, self._owed(row), self._compare(name, i, j), self.id_set, exempt)
             return (found[0] if found else None, len(found)) if first_only else found
         bad_at, unsound, out_at, out_ys, gaps, gap = entries
@@ -831,7 +831,6 @@ class PrefixAudit:
         if first_only and unsound:
             return Violation("UNSOUND", name, (x, unsound[0]), _FAILS), count
         if gaps > 1 and room:  # check_listing's set, for its iteration order
-            exempt = set() if name == "interval" else {x}
             absent = islice(self._owed(row) - set(_listing(ans)) - exempt, room)
         else:
             absent = [self.ids[gap]] if gaps and room else []

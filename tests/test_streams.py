@@ -668,15 +668,26 @@ def test_answers_past_the_cap_report_what_the_per_answer_rule_reports(hook):
         ("interval", 3, 59, [x, y]),  # 55 prefix ids missing
         ("predecessors", 10, 10, honest.predecessors(ids[10]) + list(range(ids[10] + 1, ids[10] + 61))),
     ]
-    screened = list(PrefixAudit(stream, ids).screen(queries))
-    for (name, i, j, ans), (_, found) in zip(queries, screened):
-        truth, compare, exempt = brute.listing_rule(ids, stream.leq, name, i, j)
-        assert found == check_listing(name, ids[i], ans, truth, compare, set(ids), exempt)
+    leq, asked = stream.leq, []
+    stream.leq = lambda a, b: asked.append(a) or leq(a, b)  # only the comparison calls it without a hook
+    screened = []
+    for name, i, j, ans in queries:
+        truth, compare, exempt = brute.listing_rule(ids, leq, name, i, j)
+        asked.clear()
+        ((_, found),) = PrefixAudit(stream, ids).screen([(name, i, j, ans)])
+        ((_, first),) = PrefixAudit(stream, ids).screen([(name, i, j, ans)], first_only=True)
+        decided = []
+        assert found == check_listing(
+            name, ids[i], ans, truth, lambda z: decided.append(z) or compare(z), set(ids), exempt
+        )
+        if hook == "none" and name == "predecessors":  # leq(z, x) once per id decided, on both passes
+            assert asked == 2 * decided
         assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
             name, ids[i], ans, truth, compare, set(ids), exempt
         )
-        assert len(found) == 50
-    missing, unsound = ([v.subject[1] for v in found] for _, found in screened)
+        assert len(found) == 50 and first == (found[0], 50)
+        screened.append(found)
+    missing, unsound = ([v.subject[1] for v in found] for found in screened)
     assert missing != sorted(missing)  # the set's order, not the prefix order
     assert {y in set(ids) for y in unsound} == {True, False}
 
