@@ -27,6 +27,17 @@ def closure_pairs(elements, pairs) -> set[tuple[int, int]]:
     return rel
 
 
+def cycle_witness(elements, pairs) -> tuple[int, int] | None:
+    """The first pair of distinct elements below each other in the closure,
+    row-major in ``elements`` order, or None when the closure is antisymmetric."""
+    rel = closure_pairs(elements, pairs)
+    for a in elements:
+        for b in elements:
+            if a != b and (a, b) in rel and (b, a) in rel:
+                return a, b
+    return None
+
+
 def predecessors(universe, leq, x) -> list[int]:
     return sorted(y for y in universe if leq(y, x))
 

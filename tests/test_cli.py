@@ -467,6 +467,14 @@ def test_oversized_input_is_refused_before_closure(tmp_path, monkeypatch, doc):
         poset_from_json_dict(doc)
 
 
+def test_a_cycle_through_every_element_at_the_guard_is_one_envelope(tmp_path):
+    n = MAX_DOCUMENT_ELEMENTS
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"elements": list(range(n)), "relation": [[i, (i + 1) % n] for i in range(n)]}))
+    err = run_cli_error("linearize", "--kind", "omega", "--blocks", "4", "--input", str(path))
+    assert err == {"code": "CycleError", "detail": "elements 0 and 1 are mutually below each other"}
+
+
 @pytest.mark.parametrize("what", ["fuf", "range", "embed"])
 def test_every_gadget_written_reads_back(tmp_path, monkeypatch, what):
     """Writing obeys the reading guard, shown at a small limit: a gadget of

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute
+import taulike.poset
 from taulike import (
     CanonicalPoint,
     CycleError,
@@ -29,7 +31,7 @@ from taulike import (
     random_poset,
     unpair_id,
 )
-from taulike.poset import POSET_SCHEMA
+from taulike.poset import MAX_DOCUMENT_ELEMENTS, MAX_DOCUMENT_PAIRS, POSET_SCHEMA, order_axiom_faults
 
 
 # -- construction and closure -------------------------------------------
@@ -81,18 +83,42 @@ def test_ids_lie_below_two_to_the_63():
 
 
 @given(
-    n=st.integers(0, 24),
-    pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
+    ids=st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=24),
+    picks=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
+    repeats=st.lists(st.integers(0, 39), max_size=8),
+    reversals=st.lists(st.integers(0, 39), max_size=2),
 )
-def test_build_closure_matches_naive(n, pairs):
-    pairs = [(a, b) for a, b in pairs if a < n and b < n]
-    expected = brute.closure_pairs(range(n), pairs)
-    has_cycle = any((a, b) in expected and (b, a) in expected and a != b for a, b in expected)
-    if has_cycle:
-        with pytest.raises(CycleError):
-            build_poset(range(n), pairs)
+# two cycles; a walk from index 0 closes {0, 3} first and {1, 2} last
+@example(ids=[0, 1, 2, 3], picks=[(0, 3), (3, 0), (1, 2), (2, 1), (2, 0)], repeats=[], reversals=[])
+def test_build_closure_matches_naive(ids, picks, repeats, reversals):
+    """Closure and the CycleError witness against repeated composition, with
+    ids enumerated out of numeric order, self pairs and repeated pairs; a
+    reversed copy of a drawn pair makes cycles common."""
+    drawn = [(ids[a % len(ids)], ids[b % len(ids)]) for a, b in picks] if ids else []
+    pairs = drawn + [(x, x) for x in ids[::3]]
+    pairs += [pairs[k] for k in repeats if k < len(pairs)]
+    pairs += [drawn[k % len(drawn)][::-1] for k in reversals if drawn]
+    witness = brute.cycle_witness(ids, pairs)
+    if witness:
+        with pytest.raises(CycleError) as raised:
+            build_poset(ids, pairs)
+        assert str(raised.value) == f"elements {witness[0]} and {witness[1]} are mutually below each other"
     else:
-        assert build_poset(range(n), pairs).leq == frozenset(expected)
+        assert build_poset(ids, pairs).leq == frozenset(brute.closure_pairs(ids, pairs))
+
+
+def test_build_poset_skips_the_axiom_check_that_the_constructor_makes(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return order_axiom_faults(m)
+
+    monkeypatch.setattr(taulike.poset, "order_axiom_faults", spy)
+    p = build_poset([0, 1, 2], [(0, 1), (1, 2)])
+    assert calls == []
+    assert FinitePoset(p.elements, p.matrix) == p
+    assert calls == [(3, 3)]
 
 
 def test_cone_queries_match_brute_force():
@@ -442,6 +468,43 @@ def test_poset_json_bad_entries_rejected():
 def test_poset_json_cycle_detected_on_load():
     with pytest.raises(CycleError):
         poset_from_json_dict({"elements": [0, 1], "relation": [[0, 1], [1, 0]]})
+
+
+def _largest_document(name: str) -> dict:
+    n = MAX_DOCUMENT_ELEMENTS
+    if name == "dag":  # each pair goes up in id order
+        pairs = np.sort(np.random.default_rng(19).integers(0, n, (MAX_DOCUMENT_PAIRS, 2)), axis=1).tolist()
+    else:
+        pairs = {
+            "chain": [[i, i + 1] for i in range(n - 1)],
+            "antichain": [],
+            "cycle": [[i, (i + 1) % n] for i in range(n)],
+        }[name]
+    return {"elements": list(range(n)), "relation": pairs}
+
+
+@pytest.mark.parametrize("name", ["chain", "antichain", "dag", "cycle"])
+def test_documents_at_the_size_guard_load_in_seconds(name):
+    """The guard's largest documents load in time that grows with the pairs, not
+    cubically with the elements; the cycle is found and named as fast."""
+    doc = _largest_document(name)
+    start = time.perf_counter()
+    if name == "cycle":
+        with pytest.raises(CycleError, match="^elements 0 and 1 are mutually below each other$"):
+            poset_from_json_dict(doc)
+    else:
+        p = poset_from_json_dict(doc)
+    assert time.perf_counter() - start < 5.0
+    if name == "cycle":
+        return
+    n = MAX_DOCUMENT_ELEMENTS
+    if name == "dag":  # the closure stays on and above the diagonal
+        lower, upper = np.array(doc["relation"]).T
+        assert p.matrix[lower, upper].all() and p.matrix.diagonal().all()
+        assert not np.tril(p.matrix, -1).any()
+    else:
+        expected = np.triu(np.ones((n, n), dtype=bool)) if name == "chain" else np.eye(n, dtype=bool)
+        assert np.array_equal(p.matrix, expected)
 
 
 @settings(max_examples=40)
