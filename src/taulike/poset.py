@@ -10,7 +10,6 @@ matrix that satisfies them by construction and skips that check.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -329,7 +328,7 @@ def _cycle_witness(succ: Sequence[Sequence[int]]) -> tuple[int, int]:
                     for w in component:
                         on_stack[w] = False
                     if len(component) > 1:
-                        first, second = heapq.nsmallest(2, component)
+                        first, second = sorted(component)[:2]
                         best = min(best, (first, second))
     return best
 
