@@ -31,7 +31,7 @@ from .gadgets import (
     make_stage_order,
 )
 from .harness import check_kinds, random_poset
-from .kinds import Kind
+from .kinds import BlockSide, FinSide, Kind
 from .linearize import assemble, linearize, omega_blocks, split_linearize, szpilrajn_extend
 from .poset import poset_from_json_dict, poset_to_json_dict
 from .streams import (
@@ -226,6 +226,10 @@ def _cmd_linearize(args, parser) -> dict:
     stream = _make_stream(args, parser)
     blocks, elements = _budgets(args, kind)
     bseq, order = linearize(stream, kind, blocks=blocks, elements=elements)
+    # Each enum member's value is read once, not once per block or element.
+    block_side = {s: s.value for s in BlockSide}
+    fin_side = {s: s.value for s in FinSide}
+    sides = order.sides
     return {
         "schema": "taulike.linearize/1",
         "kind": kind.value,
@@ -235,12 +239,10 @@ def _cmd_linearize(args, parser) -> dict:
         "blocks": None
         if bseq is None
         else [
-            {"pivot": b.pivot, "members": list(b.members), "side": b.side.value}
-            for b in bseq
+            {"pivot": pivot, "members": list(members), "side": block_side[side]}
+            for pivot, members, side in bseq
         ],
-        "sides": None
-        if order.sides is None
-        else [[x, order.sides[x].value] for x in order],
+        "sides": None if sides is None else [[x, fin_side[sides[x]]] for x in order],
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import ClassifierInconsistent, NotStabilized, OracleMissing
@@ -26,24 +27,37 @@ EMBEDDING_SCHEMA = "taulike.embedding/1"
 
 @dataclass(frozen=True)
 class Embedding:
-    """A finite partial order-embedding into one canonical order."""
+    """A finite partial order-embedding into one canonical order.
+
+    ``coords`` holds one coordinate per embedded id, as
+    :class:`CanonicalPoint` reads it: a natural, a signed int, or a
+    ``(side, k)`` pair.  :meth:`point` and :attr:`assignments` build the
+    points, validated by :class:`CanonicalPoint`, only when they are read.
+    """
 
     kind: Kind
-    assignments: Mapping[int, CanonicalPoint]
+    coords: Mapping[int, int | tuple[int, int]]
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        return len(self.coords)
 
     def coord(self, x: int) -> int | tuple[int, int]:
-        return self.assignments[x].coord
+        return self.coords[x]
 
     def point(self, x: int) -> CanonicalPoint:
-        return self.assignments[x]
+        return CanonicalPoint(self.kind, self.coords[x])
+
+    @cached_property
+    def assignments(self) -> dict[int, CanonicalPoint]:
+        """Every embedded id's point, built on first read."""
+        kind = self.kind
+        return {x: CanonicalPoint(kind, c) for x, c in self.coords.items()}
 
     def to_json_dict(self) -> dict:
+        coords = self.coords
         rows = []
-        for x in sorted(self.assignments):
-            c = self.assignments[x].coord
+        for x in sorted(coords):
+            c = coords[x]
             rows.append([x, list(c) if isinstance(c, tuple) else c])
         return {
             "schema": EMBEDDING_SCHEMA,
@@ -54,19 +68,12 @@ class Embedding:
 
 def embed_omega(order: LinearOrder) -> Embedding:
     """Each element's coordinate is how many elements sit to its left."""
-    pts = {
-        x: CanonicalPoint(Kind.OMEGA, i) for i, x in enumerate(order)
-    }
-    return Embedding(Kind.OMEGA, pts)
+    return Embedding(Kind.OMEGA, dict(zip(order, range(len(order)))))
 
 
 def embed_omega_star(order: LinearOrder) -> Embedding:
     """Dual coordinate: how many elements sit to the right."""
-    top = len(order) - 1
-    pts = {
-        x: CanonicalPoint(Kind.OMEGA_STAR, top - i) for i, x in enumerate(order)
-    }
-    return Embedding(Kind.OMEGA_STAR, pts)
+    return Embedding(Kind.OMEGA_STAR, dict(zip(order, range(len(order) - 1, -1, -1))))
 
 
 def embed_omega_plus_omega_star(order: LinearOrder) -> Embedding:
@@ -77,34 +84,32 @@ def embed_omega_plus_omega_star(order: LinearOrder) -> Embedding:
     """
     if order.sides is None:
         raise OracleMissing("this order carries no side tags; run a split first")
+    sides, upper = order.sides, FinSide.FIN_SUCC  # read once, not once per element
     top = len(order) - 1
-    pts: dict[int, CanonicalPoint] = {}
+    coords: dict[int, tuple[int, int]] = {}
     seen_upper = False
     for i, x in enumerate(order):
-        tag = order.sides.get(x)
+        tag = sides.get(x)
         if tag is None:
             raise OracleMissing(f"element {x} has no recorded side")
-        if tag is FinSide.FIN_SUCC:
+        if tag is upper:
             seen_upper = True
-            pts[x] = CanonicalPoint(Kind.OMEGA_PLUS_OMEGA_STAR, (1, top - i))
+            coords[x] = (1, top - i)
         else:
             if seen_upper:
                 raise ClassifierInconsistent(
                     f"FIN_PRED element {x} appears above a FIN_SUCC element"
                 )
-            pts[x] = CanonicalPoint(Kind.OMEGA_PLUS_OMEGA_STAR, (0, i))
-    return Embedding(Kind.OMEGA_PLUS_OMEGA_STAR, pts)
+            coords[x] = (0, i)
+    return Embedding(Kind.OMEGA_PLUS_OMEGA_STAR, coords)
 
 
 def embed_zeta(order: LinearOrder) -> Embedding:
     """Signed positions relative to the anchor (the first block's pivot)."""
     if order.anchor_index is None:
         raise NotStabilized("no anchor position; the two-ended run emitted nothing")
-    pts = {
-        x: CanonicalPoint(Kind.ZETA, i - order.anchor_index)
-        for i, x in enumerate(order)
-    }
-    return Embedding(Kind.ZETA, pts)
+    low = -order.anchor_index
+    return Embedding(Kind.ZETA, dict(zip(order, range(low, low + len(order)))))
 
 
 def embed_poset(

@@ -498,14 +498,13 @@ def decode_range(h, f_prefix: Sequence[int], m: int) -> bool:
     """
     if m < 0:
         raise FormatError(f"range members are naturals, got {m}")
-    assignments = h.assignments
+    coords = h.coords
     top = 2 * m
-    if top not in assignments:
+    if top not in coords:
         raise UnknownIdError(f"embedding does not cover the top element for {m}")
-    point = assignments[top]
-    if point.kind is not Kind.OMEGA:
-        raise FormatError(f"range decoding needs an omega embedding, got {point.kind.value}")
-    bound = point.coord
+    if h.kind is not Kind.OMEGA:
+        raise FormatError(f"range decoding needs an omega embedding, got {h.kind.value}")
+    bound = coords[top]
     values = list(f_prefix)
     for n in range(min(bound, len(values))):
         if values[n] == m:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, filterfalse
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,9 +38,12 @@ __all__ = [
 MAX_PIVOT_SCAN = 1_000_000
 
 
-@dataclass(frozen=True)
-class Block:
-    """One emitted block: its pivot, its sorted members, its placement side."""
+class Block(NamedTuple):
+    """One emitted block: its pivot, its sorted members, its placement side.
+
+    A named tuple: immutable, hashable, equal when its fields are equal, and
+    built for the cost of a tuple, since a run builds one per block.
+    """
 
     pivot: int
     members: tuple[int, ...]
@@ -184,13 +187,13 @@ def _block_run(
         scanned = 0
         ids, side = step(pivot)
         new = _unabsorbed(ids, absorbed, links)
-        if not new or new == [pivot]:
+        if not new or (len(new) == 1 and new[0] == pivot):
             absorbed.add(pivot)
-            yield Block(pivot=pivot, members=(pivot,), side=side), [pivot]
+            yield Block(pivot, (pivot,), side), [pivot]
             continue
         members = tuple(sorted({pivot, *new}))
         absorbed.update(members)
-        yield Block(pivot=pivot, members=members, side=side), _segment(stream, members)
+        yield Block(pivot, members, side), _segment(stream, members)
 
 
 def assemble(
@@ -210,13 +213,14 @@ def assemble(
     blocks: list[Block] = []
     positions: deque[int] = deque()
     run = iter(run)
+    left = BlockSide.LEFT  # read once, not once per block
     while (blocks_wanted is None or len(blocks) < blocks_wanted) and (
         elements_wanted is None or len(positions) < elements_wanted
     ):
         block, seg = next(run, (None, None))
         if block is None:
             break
-        if block.side is BlockSide.LEFT:
+        if block.side is left:
             positions.extendleft(reversed(seg))
         else:
             positions.extend(seg)
@@ -384,8 +388,8 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
             raise ClassifierInconsistent(
                 f"FIN_SUCC element {emitted_high[i]} lies below FIN_PRED element {emitted_low[j]}"
             )
-    sides: dict[int, FinSide] = {x: FinSide.FIN_PRED for x in emitted_low}
-    sides.update({x: FinSide.FIN_SUCC for x in emitted_high})
+    sides: dict[int, FinSide] = dict.fromkeys(emitted_low, FinSide.FIN_PRED)
+    sides.update(dict.fromkeys(emitted_high, FinSide.FIN_SUCC))
     return LinearOrder(
         tuple(emitted_low) + tuple(emitted_high),
         sides=sides,

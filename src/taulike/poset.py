@@ -206,9 +206,17 @@ class FinitePoset:
         return self._listed(self.matrix[self._at(x)])
 
     def interval(self, x: int, y: int) -> list[int]:
-        """All z with x <= z <= y or y <= z <= x, in element order."""
+        """All z with x <= z <= y or y <= z <= x, in element order.
+
+        Comparability is read from two cells first: an incomparable pair is
+        ``[]``, and a comparable one ANDs one row with one column.
+        """
         m, i, j = self.matrix, self._at(x), self._at(y)
-        return self._listed((m[i] & m[:, j]) | (m[j] & m[:, i]))
+        if m.item(i, j):
+            return self._listed(m[i] & m[:, j])
+        if m.item(j, i):
+            return self._listed(m[j] & m[:, i])
+        return []
 
     def restrict(self, keep: Iterable[int]) -> "FinitePoset":
         """Induced sub-poset on ``keep``, in the order given."""
@@ -553,11 +561,10 @@ def poset_from_json_dict(doc: object) -> FinitePoset:
     _check_document_size(len(elements), len(relation))
     pairs = []
     for item in relation:
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise FormatError(f"relation entry {item!r} is not an id pair")
-        pairs.append((item[0], item[1]))
+        if isinstance(item, list) and len(item) == 2:
+            x, y = item
+            if isinstance(x, int) and isinstance(y, int) and not isinstance(x, bool) and not isinstance(y, bool):
+                pairs.append((x, y))
+                continue
+        raise FormatError(f"relation entry {item!r} is not an id pair")
     return build_poset(elements, pairs)

@@ -163,7 +163,11 @@ class StreamPoset:
         return bool(self._leq(x, y))
 
     def relation_matrix(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> np.ndarray:
-        """Cell (i, j) says ``rows[i] <= cols[j]``; ``cols`` defaults to ``rows``."""
+        """Cell (i, j) says ``rows[i] <= cols[j]``; ``cols`` defaults to ``rows``.
+
+        Without a hook, the ids are checked once, as :meth:`leq` checks them,
+        before the raw ``leq`` is asked for each cell.
+        """
         hook = self._leq_block if cols is None else self._leq_rect
         shape = (len(rows), len(rows) if cols is None else len(cols))
         if hook is not None:
@@ -171,6 +175,9 @@ class StreamPoset:
             if m.shape != shape:
                 raise FormatError("leq_block returned a wrongly shaped matrix")
             return m
+        _domain_ids(rows)
+        if cols is not None:
+            _domain_ids(cols)
         m = np.zeros(shape, dtype=bool)
         leq = self._leq
         rows, cols = (a.tolist() if isinstance(a, np.ndarray) else a for a in (rows, cols))

@@ -6,6 +6,7 @@ import pytest
 
 from taulike import (
     ClassifierInconsistent,
+    FormatError,
     Kind,
     LinearOrder,
     NotStabilized,
@@ -22,10 +23,10 @@ from taulike import (
     split_linearize,
     zeta_linearize,
 )
-from taulike.embed import EMBEDDING_SCHEMA
+from taulike.embed import EMBEDDING_SCHEMA, Embedding
 from taulike.kinds import FinSide
 from taulike.poset import CanonicalPoint
-from taulike.streams import omega_stream, zeta_stream, zigzag_decode
+from taulike.streams import STREAM_FAMILIES, omega_stream, zeta_stream, zigzag_decode
 
 
 # -- omega ranks -------------------------------------------------------------
@@ -216,3 +217,59 @@ def test_embedding_json_tuple_coords_as_lists():
     order = LinearOrder((0, 1), sides={0: FinSide.FIN_PRED, 1: FinSide.FIN_SUCC})
     doc = embed_omega_plus_omega_star(order).to_json_dict()
     assert doc["map"] == [[0, [0, 0]], [1, [1, 0]]]
+
+
+# -- coordinates stored, points built on demand ----------------------------------------
+
+# Every canonical family with each kind whose run it can serve; between them
+# they reach all four readers.
+_EMBEDDABLE = [
+    ("omega", Kind.OMEGA),
+    ("omega", Kind.ZETA),
+    ("omega-star", Kind.OMEGA_STAR),
+    ("omega-star", Kind.ZETA),
+    ("zeta", Kind.ZETA),
+    *(("antichain", kind) for kind in Kind),
+    ("omega-omega-star", Kind.OMEGA_PLUS_OMEGA_STAR),
+]
+
+
+@pytest.mark.parametrize(("family", "kind"), _EMBEDDABLE)
+def test_points_are_the_stored_coordinates_of_the_embedding_kind(family, kind):
+    emb = embed_poset(STREAM_FAMILIES[family](), kind, elements=30)
+    assert emb.kind is kind and len(emb) == len(emb.coords) == 30
+    points = {x: CanonicalPoint(kind, emb.coord(x)) for x in emb.coords}
+    for x, point in points.items():
+        assert emb.point(x) == point
+    assert emb.assignments == points
+
+
+def test_a_point_is_validated_when_it_is_read():
+    emb = Embedding(Kind.OMEGA, {4: 0, 5: -1})
+    assert len(emb) == 2 and emb.coord(5) == -1
+    assert emb.point(4) == CanonicalPoint(Kind.OMEGA, 0)
+    with pytest.raises(FormatError, match="omega coordinates are naturals, got -1"):
+        emb.point(5)
+    with pytest.raises(FormatError, match="omega coordinates are naturals, got -1"):
+        emb.assignments
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("embed", "--kind", "omega", "--family", "omega", "--blocks", "20"),
+        ("embed", "--kind", "omega-star", "--family", "omega-star", "--blocks", "20"),
+        ("embed", "--kind", "omega-omega-star", "--family", "omega-omega-star", "--elements", "20"),
+        ("embed", "--kind", "zeta", "--family", "zeta", "--blocks", "20"),
+        ("decode", "range", "--f", "perm:1,0,2", "--elements", "2", "--horizon", "64"),
+    ],
+)
+def test_the_embedding_commands_print_coordinates_without_building_points(monkeypatch, capsys, argv):
+    from taulike.cli import main
+
+    built = []
+    check = CanonicalPoint.__post_init__
+    monkeypatch.setattr(CanonicalPoint, "__post_init__", lambda self: built.append(self) or check(self))
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert built == []

@@ -523,6 +523,21 @@ def test_decode_range_unknown_top():
         decode_range(emb, list(range(50)), 40)
 
 
+def test_decode_range_refuses_a_missing_top_then_a_wrong_kind():
+    from taulike import embed_omega_star, embed_zeta
+
+    short = embed_poset(make_embed_gadget("identity").stream, Kind.OMEGA, elements=10)
+    with pytest.raises(UnknownIdError, match=r"^embedding does not cover the top element for 40$"):
+        decode_range(short, list(range(50)), 40)
+    order = LinearOrder((0, 1, 2, 3), anchor_index=1)
+    for emb, name in ((embed_zeta(order), "zeta"), (embed_omega_star(order), "omega-star")):
+        with pytest.raises(FormatError, match=rf"^range decoding needs an omega embedding, got {name}$"):
+            decode_range(emb, list(range(50)), 1)
+        # a missing top is named first, whatever the kind
+        with pytest.raises(UnknownIdError, match=r"^embedding does not cover the top element for 2$"):
+            decode_range(emb, list(range(50)), 2)
+
+
 @pytest.mark.parametrize("m", range(8))
 def test_decode_range_matches_membership(m):
     f = FunctionSpec.parse("perm:3,1,0,2;gap:2")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import brute
 
 from taulike import (
+    Block,
     ClassifierInconsistent,
     FormatError,
     Kind,
@@ -403,6 +404,21 @@ def test_outputs_land_in_brute_force_extension_lists(seed):
     assert tuple(omega_star_linearize(stream_from_finite(p), None)[1]) in everyone
     assert tuple(zeta_linearize(stream_from_finite(p), None)[1]) in everyone
     assert tuple(szpilrajn_extend(p)) in everyone
+
+
+def test_a_block_is_an_immutable_hashable_record_equal_by_its_fields():
+    b = Block(3, (1, 3), BlockSide.LEFT)
+    assert b == Block(pivot=3, members=(1, 3), side=BlockSide.LEFT)
+    assert (b.pivot, b.members, b.side) == (3, (1, 3), BlockSide.LEFT)
+    assert b != Block(3, (1, 3), BlockSide.RIGHT)
+    assert b != Block(3, (3,), BlockSide.LEFT)
+    assert b != Block(1, (1, 3), BlockSide.LEFT)
+    assert hash(b) == hash(Block(3, (1, 3), BlockSide.LEFT))
+    assert len({b, Block(3, (1, 3), BlockSide.LEFT), Block(1, (1,), BlockSide.LEFT)}) == 2
+    for field, value in (("pivot", 4), ("members", (4,)), ("side", BlockSide.RIGHT)):
+        with pytest.raises(AttributeError):
+            setattr(b, field, value)
+    assert b == Block(3, (1, 3), BlockSide.LEFT)
 
 
 def test_prefix_stability_blocks_and_order():

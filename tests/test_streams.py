@@ -169,12 +169,15 @@ _DOMAIN_STREAMS = {
     **STREAM_FAMILIES,
     "range-gadget": lambda: make_range_gadget("perm:2,0,3,1;gap:2").stream,
     "embed-gadget": lambda: make_embed_gadget("perm:2,0,3,1;gap:2").stream,
+    # no hook: relation_matrix asks the raw leq, which answers any ints
+    "hookless": lambda: StreamPoset(lambda s: s, operator.le, name="hookless"),
 }
 
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(_DOMAIN_STREAMS)), x=_EDGE_IDS, y=_EDGE_IDS)
 @example(name="embed-gadget", x=2**63 - 99, y=6_074_000_998)  # the last fan below 2**63, at the top over it
+@example(name="hookless", x=-1, y=3)  # the raw leq says True; leq refuses
 def test_leq_and_the_hook_agree_or_both_refuse_an_id_outside_the_domain(name, x, y):
     from taulike import UnknownIdError
 
