@@ -255,6 +255,11 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
     # Head values stay below window + gap, so no tail stage undercuts a head
     # stage: past the head, the head stages above n are the never-undercut ones.
     never_undercut = [2 * m for m in range(window) if wit[m] == _NO_WITNESS]
+    # The stages form a chain, so the head stages between two head stages are
+    # a run of ``ascending``, the head listed least first; ``rank`` places
+    # each head stage in it.
+    ascending = StageOrder(fspec.head, fspec._witness).ascending()
+    rank = {n: r for r, n in enumerate(ascending)}
 
     def t(n: int) -> int:
         if n < 0:
@@ -312,7 +317,7 @@ def make_range_gadget(spec: FunctionSpec | str) -> RangeGadget:
             return None
         if t(high) != _NO_WITNESS:
             # Both ends are undercut, so they and everything between lie in the head.
-            return [p for p in range(0, 2 * window, 2) if leq(2 * low, p) and leq(p, 2 * high)]
+            return [2 * p for p in sorted(ascending[rank[low] : rank[high] + 1])]
         # Neither end is undercut: between them lie the never-undercut stages
         # from high up to low.
         head = [2 * p for p in range(high, min(low + 1, window)) if t(p) == _NO_WITNESS]
@@ -353,6 +358,11 @@ def decode_false_stages(order: LinearOrder, s: int) -> DecodedFalseStages:
     The horizon M is the longest contiguous run b_0..b_{M-1} found in
     ``order``; reading stops with HorizonTooSmall when M < s or when some
     a_n with n < s is absent, since then the answer could still change.
+
+    Exact on orders built by :func:`split_linearize`, whose ω* blocks go left
+    of all earlier ones; those are the only orders it is promised for.  Other
+    linear extensions of the gadget can place a never-undercut stage left of
+    every chain element, and then it is read as false.
     """
     if s < 0:
         raise FormatError(f"stage count must be a natural, got {s}")

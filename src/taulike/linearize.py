@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -36,6 +37,11 @@ __all__ = [
 # Liveness guard: stages examined while hunting one pivot.  Honest streams
 # always have a pivot within the elements they have not emitted yet.
 MAX_PIVOT_SCAN = 1_000_000
+# Work guard: pairs in a split's FIN_SUCC x FIN_PRED cross check.  The check
+# holds one bool per pair, 64 MiB at the limit, and a bulk hook's temporaries
+# take a few times that: the omega-omega-star split of 16,384 elements, at the
+# limit, peaks at about 225 MB.
+MAX_CROSS_CELLS = 1 << 26
 
 
 class Block(NamedTuple):
@@ -115,27 +121,49 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
     ``links[s]`` maps y to z when y, y + s, ..., z - s are all absorbed.  A
     range is walked up from its low end, absorbed runs are jumped along the
     links, and each id passed is pointed at its run's end: the interval case
-    of path-compressed disjoint-set union.  An :class:`IdRuns` is read part by
-    part; other answers are probed id by id.
+    of path-compressed disjoint-set union.  The caller absorbs every id this
+    returns, so the range's low end is pointed past the range too; until
+    then that link is read only if the low end was absorbed already, and the
+    ids it skips are absorbed or listed.  An :class:`IdRuns` is read part by
+    part into one list; other answers are probed id by id.
     """
-    if isinstance(ids, IdRuns):
-        return list(chain.from_iterable(_unabsorbed(part, absorbed, links) for part in ids.parts))
-    if not isinstance(ids, range):
+    cls = type(ids)
+    if cls is range:
+        parts = (ids,)
+    elif cls is IdRuns:
+        parts = ids.parts
+    else:
         return list(filterfalse(absorbed.__contains__, ids))
-    ids = ids[::-1] if ids.step < 0 else ids
-    s, stop, y = ids.step, ids.stop, ids.start
-    link = links.setdefault(s, {})
     out: list[int] = []
-    while y < stop:
-        if y not in absorbed:
-            out.append(y)
-            y += s
+    append = out.append
+    for part in parts:
+        if type(part) is not range:
+            out.extend(filterfalse(absorbed.__contains__, part))
             continue
-        passed = []
-        while y < stop and y in absorbed:
-            passed.append(y)
-            y = link.get(y, y + s)
-        link.update(dict.fromkeys(passed, y))
+        if part.step < 0:
+            part = part[::-1]
+        s, stop, y = part.step, part.stop, part.start
+        link = links.get(s)
+        if link is None:
+            link = links[s] = {}
+        while y < stop:
+            if y not in absorbed:
+                append(y)
+                y += s
+                continue
+            z = link.get(y, y + s)
+            if z < stop and z in absorbed:  # a run of several links: point each at its end
+                passed = [y]
+                while z < stop and z in absorbed:
+                    passed.append(z)
+                    z = link.get(z, z + s)
+                for x in passed:
+                    link[x] = z
+            else:
+                link[y] = z
+            y = z
+        if part:  # the caller absorbs every id listed, so then the whole part is absorbed
+            link[part.start] = y
     return out
 
 
@@ -162,7 +190,11 @@ def _block_run(
     ``element_at``, so each id is checked once.
     """
     absorbed: set[int] = set()
+    absorb, absorb_all = absorbed.add, absorbed.update
     links: dict[int, dict[int, int]] = {}
+    # A Block is a tuple; building it through tuple.__new__ skips the
+    # named tuple's Python-level __new__, once per block.
+    block = partial(tuple.__new__, Block)
     # The stream's cache holds every stage it has enumerated and checked.
     known = stream._cache if enumeration is None else enumeration
     stage = scanned = 0
@@ -188,12 +220,12 @@ def _block_run(
         ids, side = step(pivot)
         new = _unabsorbed(ids, absorbed, links)
         if not new or (len(new) == 1 and new[0] == pivot):
-            absorbed.add(pivot)
-            yield Block(pivot, (pivot,), side), [pivot]
+            absorb(pivot)
+            yield block((pivot, (pivot,), side)), [pivot]
             continue
         members = tuple(sorted({pivot, *new}))
-        absorbed.update(members)
-        yield Block(pivot, members, side), _segment(stream, members)
+        absorb_all(members)
+        yield block((pivot, members, side)), _segment(stream, members)
 
 
 def assemble(
@@ -382,6 +414,11 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
     # anything classified FIN_PRED.  Without a bulk hook the rectangle falls
     # back to pairwise leq, so every pair is checked either way.
     if emitted_low and emitted_high:
+        if len(emitted_high) * len(emitted_low) > MAX_CROSS_CELLS:
+            raise TooLarge(
+                f"the split's cross check of {len(emitted_high)} x {len(emitted_low)} elements exceeds "
+                f"the limit of {MAX_CROSS_CELLS} pairs: it would hold one bool per pair"
+            )
         cross = stream.relation_matrix(emitted_high, emitted_low)
         if cross.any():
             i, j = np.argwhere(cross)[0]

@@ -225,14 +225,19 @@ def _domain_ids(ids: Sequence[int]) -> np.ndarray:
 
 
 def take(stream: StreamPoset, count: int) -> list[int]:
-    """First ``count`` enumerated ids, or all of them if the stream ends."""
-    out: list[int] = []
-    for stage in range(count):
-        try:
-            out.append(stream.element_at(stage))
-        except FiniteDomainEnd:
-            break
-    return out
+    """First ``count`` enumerated ids, or all of them if the stream ends.
+
+    One ``element_at`` call enumerates and checks every stage up to the
+    last one asked for, in stage order, so the first faulty stage raises.
+    """
+    stop = count if stream.size is None else min(count, stream.size)
+    if stop <= 0:
+        return []
+    try:
+        stream.element_at(stop - 1)
+    except FiniteDomainEnd:  # the enumeration ended early; its cache holds what it gave
+        pass
+    return stream._cache[:stop]
 
 
 def prefix(stream: StreamPoset, s: int) -> FinitePoset:

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ import taulike.poset
 import taulike.streams
 from taulike import TooLarge, make_embed_gadget
 from taulike.cli import main
+from taulike.linearize import MAX_CROSS_CELLS
 from taulike.poset import (
     MAX_DOCUMENT_ELEMENTS,
     MAX_DOCUMENT_PAIRS,
@@ -522,6 +524,21 @@ def test_an_audit_over_the_work_limit_is_refused_before_take(monkeypatch, comman
     # at the limit the audit goes on to pull its prefix
     with pytest.raises(_Pulled):
         main([command, "--family", "omega", "--elements", str(limit)])
+
+
+def test_a_split_over_the_cross_check_limit_is_refused_before_the_rectangle(monkeypatch):
+    monkeypatch.setattr(taulike.streams.StreamPoset, "relation_matrix", _refuse_pull)
+    side = math.isqrt(MAX_CROSS_CELLS)  # the omega-omega-star split halves its budget
+    argv = ["linearize", "--kind", "omega-omega-star", "--family", "omega-omega-star", "--elements"]
+    err = run_cli_error(*argv, str(2 * side + 2))
+    assert err["code"] == "TooLarge"
+    assert err["detail"] == (
+        f"the split's cross check of {side + 1} x {side + 1} elements exceeds the limit of "
+        f"{MAX_CROSS_CELLS} pairs: it would hold one bool per pair"
+    )
+    # at the limit the split goes on to build its cross rectangle
+    with pytest.raises(_Pulled):
+        main([*argv, str(2 * side)])
 
 
 def test_a_poset_with_more_covers_than_the_guard_is_not_written(monkeypatch):

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import operator
 import random
+import time
 from collections import Counter
 from itertools import permutations
 from pathlib import Path
@@ -588,16 +589,19 @@ def test_split_reads_every_shape_of_side_answer(answer, outcome):
         (lambda: stream_from_finite(random_poset(40, 0.2, 3), side=lambda x: FinSide.FIN_PRED), 40),
     ],
 )
-def test_split_checks_each_enumerated_id_once(monkeypatch, make, n):
+def test_split_checks_each_enumerated_id_once(make, n):
+    # element_at checks each id as it first enumerates it, so the raw
+    # enumeration is asked once per checked stage.
     stages = Counter()
-    inner = StreamPoset.element_at
+    stream = make()
+    inner = stream._element_at
 
-    def counted(stream, stage):
+    def counted(stage):
         stages[stage] += 1
-        return inner(stream, stage)
+        return inner(stage)
 
-    monkeypatch.setattr(StreamPoset, "element_at", counted)
-    order = split_linearize(make(), n)
+    stream._element_at = counted
+    order = split_linearize(stream, n)
     assert len(order) >= n
     assert stages == Counter(range(n))
 
@@ -801,10 +805,10 @@ def test_a_run_pulls_no_block_past_its_budget():
 
 # -- range answers ---------------------------------------------------------------
 
-_ANSWERS = st.one_of(
-    st.builds(range, st.integers(0, 40), st.integers(-1, 40), st.sampled_from([1, 2, 3, -1, -2, -3])),
-    st.lists(st.integers(0, 40), max_size=12),
-)
+_RANGES = st.builds(range, st.integers(0, 40), st.integers(-1, 40), st.sampled_from([1, 2, 3, -1, -2, -3]))
+_LISTS = st.lists(st.integers(0, 40), max_size=12)
+# Id runs mix range and list parts, empty ones among them, with steps of both signs.
+_ANSWERS = st.one_of(_RANGES, _LISTS, st.builds(IdRuns, st.lists(st.one_of(_RANGES, _LISTS), max_size=5)))
 
 
 # How the k-th step's answer is shaped around its pivot p, given the earlier pivots.
@@ -864,6 +868,50 @@ def test_range_answers_give_the_outputs_of_their_listings(make, kind, x, budget)
     assert isinstance(oracles.predecessors(x) if kind is Kind.OMEGA else oracles.successors(x), range)
     assert linearize(make(), kind, elements=budget) == linearize(brute.listed_oracles(make()), kind, elements=budget)
     assert embed_poset(make(), kind, elements=budget) == embed_poset(brute.listed_oracles(make()), kind, elements=budget)
+
+
+def _with_deadline(stream: StreamPoset, seconds: float) -> StreamPoset:
+    """``stream`` with oracles that fail the test once ``seconds`` have passed.
+
+    A run asks an oracle once per block, so a run that has gone quadratic
+    stops at its deadline instead of running on for hours.
+    """
+    end = time.perf_counter() + seconds
+
+    def timed(fn):
+        def ask(*args):
+            if time.perf_counter() > end:
+                pytest.fail(f"the run was still asking its oracles after {seconds} s")
+            return fn(*args)
+
+        return ask
+
+    bundle = stream.oracles
+    stream.oracles = dataclasses.replace(bundle, **{name: timed(getattr(bundle, name)) for name in bundle.present()})
+    return stream
+
+
+@pytest.mark.parametrize(
+    "kind, make, n",
+    [
+        (Kind.OMEGA, omega_stream, 200_000),
+        (Kind.OMEGA_STAR, omega_star_stream, 200_000),
+        (
+            Kind.OMEGA_PLUS_OMEGA_STAR,
+            lambda: make_range_gadget("perm:1,3,13,10,9,16,17,8,7,0,4,14,15,23,11,2,21,19,20,6,5,18,12,22").stream,
+            100_000,
+        ),
+    ],
+)
+def test_block_runs_at_scale_run_in_seconds(kind, make, n):
+    """Each range answer costs its new ids, so these runs take about a second;
+    without path compression every walk is linear and each run quadratic."""
+    start = time.perf_counter()
+    _, order = linearize(_with_deadline(make(), 5.0), kind, elements=n)
+    assert time.perf_counter() - start < 5.0
+    assert len(order) == n
+    if kind is not Kind.OMEGA_PLUS_OMEGA_STAR:
+        assert list(order) == list(range(n) if kind is Kind.OMEGA else range(n - 1, -1, -1))
 
 
 # -- the per-layer tracer's hooks -------------------------------------------------
