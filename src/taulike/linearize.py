@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -38,10 +37,12 @@ __all__ = [
 # always have a pivot within the elements they have not emitted yet.
 MAX_PIVOT_SCAN = 1_000_000
 # Work guard: pairs in a split's FIN_SUCC x FIN_PRED cross check.  The check
-# holds one bool per pair, 64 MiB at the limit, and a bulk hook's temporaries
-# take a few times that: the omega-omega-star split of 16,384 elements, at the
-# limit, peaks at about 225 MB.
-MAX_CROSS_CELLS = 1 << 26
+# runs in rectangles of at most CROSS_CHUNK_CELLS pairs, so its memory stays
+# bounded; the limit bounds its time, about 16 s through the omega-omega-star
+# bulk hook on a 2-core host.  One rectangle over all the pairs would hold
+# about 3 bytes per pair with that hook's temporaries, 12 GiB at the limit.
+MAX_CROSS_CELLS = 1 << 32
+CROSS_CHUNK_CELLS = 1 << 24
 
 
 class Block(NamedTuple):
@@ -151,17 +152,12 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
                 append(y)
                 y += s
                 continue
-            z = link.get(y, y + s)
-            if z < stop and z in absorbed:  # a run of several links: point each at its end
-                passed = [y]
-                while z < stop and z in absorbed:
-                    passed.append(z)
-                    z = link.get(z, z + s)
-                for x in passed:
-                    link[x] = z
-            else:
-                link[y] = z
-            y = z
+            passed = []
+            while y < stop and y in absorbed:
+                passed.append(y)
+                y = link.get(y, y + s)
+            for x in passed:
+                link[x] = y
         if part:  # the caller absorbs every id listed, so then the whole part is absorbed
             link[part.start] = y
     return out
@@ -192,9 +188,6 @@ def _block_run(
     absorbed: set[int] = set()
     absorb, absorb_all = absorbed.add, absorbed.update
     links: dict[int, dict[int, int]] = {}
-    # A Block is a tuple; building it through tuple.__new__ skips the
-    # named tuple's Python-level __new__, once per block.
-    block = partial(tuple.__new__, Block)
     # The stream's cache holds every stage it has enumerated and checked.
     known = stream._cache if enumeration is None else enumeration
     stage = scanned = 0
@@ -221,11 +214,11 @@ def _block_run(
         new = _unabsorbed(ids, absorbed, links)
         if not new or (len(new) == 1 and new[0] == pivot):
             absorb(pivot)
-            yield block((pivot, (pivot,), side)), [pivot]
+            yield Block(pivot, (pivot,), side), [pivot]
             continue
         members = tuple(sorted({pivot, *new}))
         absorb_all(members)
-        yield block((pivot, members, side)), _segment(stream, members)
+        yield Block(pivot, members, side), _segment(stream, members)
 
 
 def assemble(
@@ -412,19 +405,23 @@ def split_linearize(stream: StreamPoset, elements_wanted: int) -> LinearOrder:
         )
     # Downward-closure check: nothing classified FIN_SUCC may sit below
     # anything classified FIN_PRED.  Without a bulk hook the rectangle falls
-    # back to pairwise leq, so every pair is checked either way.
+    # back to pairwise leq, so every pair is checked either way.  The rows go
+    # in chunks, first to last, so the first pair found is the first in
+    # row-major order.
     if emitted_low and emitted_high:
         if len(emitted_high) * len(emitted_low) > MAX_CROSS_CELLS:
             raise TooLarge(
                 f"the split's cross check of {len(emitted_high)} x {len(emitted_low)} elements exceeds "
-                f"the limit of {MAX_CROSS_CELLS} pairs: it would hold one bool per pair"
+                f"the limit of {MAX_CROSS_CELLS} pairs"
             )
-        cross = stream.relation_matrix(emitted_high, emitted_low)
-        if cross.any():
-            i, j = np.argwhere(cross)[0]
-            raise ClassifierInconsistent(
-                f"FIN_SUCC element {emitted_high[i]} lies below FIN_PRED element {emitted_low[j]}"
-            )
+        rows = max(1, CROSS_CHUNK_CELLS // len(emitted_low))
+        for start in range(0, len(emitted_high), rows):
+            cross = stream.relation_matrix(emitted_high[start : start + rows], emitted_low)
+            if cross.any():
+                i, j = np.argwhere(cross)[0]
+                raise ClassifierInconsistent(
+                    f"FIN_SUCC element {emitted_high[start + i]} lies below FIN_PRED element {emitted_low[j]}"
+                )
     sides: dict[int, FinSide] = dict.fromkeys(emitted_low, FinSide.FIN_PRED)
     sides.update(dict.fromkeys(emitted_high, FinSide.FIN_SUCC))
     return LinearOrder(

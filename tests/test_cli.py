@@ -533,8 +533,7 @@ def test_a_split_over_the_cross_check_limit_is_refused_before_the_rectangle(monk
     err = run_cli_error(*argv, str(2 * side + 2))
     assert err["code"] == "TooLarge"
     assert err["detail"] == (
-        f"the split's cross check of {side + 1} x {side + 1} elements exceeds the limit of "
-        f"{MAX_CROSS_CELLS} pairs: it would hold one bool per pair"
+        f"the split's cross check of {side + 1} x {side + 1} elements exceeds the limit of {MAX_CROSS_CELLS} pairs"
     )
     # at the limit the split goes on to build its cross rectangle
     with pytest.raises(_Pulled):

@@ -537,6 +537,56 @@ def test_split_cross_check_is_complete_without_bulk_hook():
     assert {y for _, y in calls} == set(range(low))
 
 
+def _hidden_pairs_stream(low: int, high: int, hidden: set[tuple[int, int]]) -> StreamPoset:
+    """An antichain of ``low`` FIN_PRED and ``high`` FIN_SUCC ids plus the
+    ``hidden`` pairs x <= y, which the cone oracles do not list."""
+    return StreamPoset(
+        lambda st: st,
+        lambda x, y: x == y or (x, y) in hidden,
+        oracles=OracleBundle(
+            predecessors=lambda x: [x],
+            successors=lambda x: [x],
+            side=lambda x: FinSide.FIN_PRED if x < low else FinSide.FIN_SUCC,
+        ),
+        size=low + high,
+        name="hidden-pairs",
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_cross_check_in_chunks_finds_the_first_pair_of_the_whole_rectangle(monkeypatch, seed):
+    rng = random.Random(seed)
+    low, high = 23, 17
+    hidden = {(rng.randrange(low, low + high), rng.randrange(low)) for _ in range(seed % 4)}
+    whole = None
+    if hidden:
+        with pytest.raises(ClassifierInconsistent) as whole:
+            split_linearize(_hidden_pairs_stream(low, high, hidden), low + high)
+    shapes = []
+    inner = StreamPoset.relation_matrix
+
+    def spy(stream, rows, cols=None):
+        shapes.append((len(rows), len(cols)))
+        return inner(stream, rows, cols)
+
+    monkeypatch.setattr(StreamPoset, "relation_matrix", spy)
+    for cells in (1, low, 3 * low + 5, low * high - 1):
+        monkeypatch.setattr(importlib.import_module("taulike.linearize"), "CROSS_CHUNK_CELLS", cells)
+        shapes.clear()
+        if whole is None:
+            split_linearize(_hidden_pairs_stream(low, high, hidden), low + high)
+        else:
+            with pytest.raises(ClassifierInconsistent) as err:
+                split_linearize(_hidden_pairs_stream(low, high, hidden), low + high)
+            assert str(err.value) == str(whole.value)
+        rows = max(1, cells // low)
+        assert all(shape == (rows, low) for shape in shapes[:-1])
+        assert 1 <= shapes[-1][0] <= rows and shapes[-1][1] == low
+        assert sum(r for r, _ in shapes) <= high
+        if whole is None:
+            assert sum(r for r, _ in shapes) == high
+
+
 def test_split_rejects_junk_side_answers():
     p = chain_poset(2)
     s = stream_from_finite(p, side=lambda x: "sideways")
@@ -589,21 +639,23 @@ def test_split_reads_every_shape_of_side_answer(answer, outcome):
         (lambda: stream_from_finite(random_poset(40, 0.2, 3), side=lambda x: FinSide.FIN_PRED), 40),
     ],
 )
-def test_split_checks_each_enumerated_id_once(make, n):
-    # element_at checks each id as it first enumerates it, so the raw
-    # enumeration is asked once per checked stage.
-    stages = Counter()
-    stream = make()
-    inner = stream._element_at
+def test_split_checks_each_enumerated_id_once(monkeypatch, make, n):
+    # element_at checks the stages that a call adds to its stream's cache;
+    # count them per stream, over every StreamPoset the split may build.
+    checked: dict[StreamPoset, Counter] = {}
+    inner = StreamPoset.element_at
 
-    def counted(stage):
-        stages[stage] += 1
-        return inner(stage)
+    def counted(stream, stage):
+        before = len(stream._cache)
+        try:
+            return inner(stream, stage)
+        finally:
+            checked.setdefault(stream, Counter()).update(range(before, len(stream._cache)))
 
-    stream._element_at = counted
-    order = split_linearize(stream, n)
+    monkeypatch.setattr(StreamPoset, "element_at", counted)
+    order = split_linearize(make(), n)
     assert len(order) >= n
-    assert stages == Counter(range(n))
+    assert [c for c in checked.values() if c] == [Counter(range(n))]
 
 
 def _split_by_the_restated_rule(stream, n):
