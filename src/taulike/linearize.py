@@ -126,7 +126,8 @@ def _unabsorbed(ids: Iterable[int], absorbed: set[int], links: dict[int, dict[in
     returns, so the range's low end is pointed past the range too; until
     then that link is read only if the low end was absorbed already, and the
     ids it skips are absorbed or listed.  An :class:`IdRuns` is read part by
-    part into one list; other answers are probed id by id.
+    part into one list, so a step may hand on the parts of several answers
+    as one :class:`IdRuns`; other answers are probed id by id.
     """
     cls = type(ids)
     if cls is range:
@@ -340,6 +341,12 @@ def zeta_linearize(
     [z, p] but not in [z', p]); the farthest pivots do not have that gap.
     Incomparable pivots are no longer asked at all, so an oracle that has
     no answer for such a pair no longer stops the run.
+
+    The answers are handed on part by part, as one :class:`IdRuns`: a
+    ``range`` answer stays a range, an :class:`IdRuns` gives its parts and
+    any other answer is one list part.  So :func:`_unabsorbed` jumps the
+    absorbed ids of every range, and a run over range answers costs its new
+    ids, not the lengths of its intervals.
     """
     fn = require_oracle(stream, "interval")
     leq = stream._leq  # read for its truth only, as StreamPoset.leq reads it
@@ -350,19 +357,19 @@ def zeta_linearize(
         nonlocal minimal, maximal
         below = [m for m in minimal if leq(m, pivot)]
         above = [m for m in maximal if leq(pivot, m)]
-        answers = []
+        parts: list = []
         for z in below + above + [pivot]:
             ans = fn(z, pivot)
             if ans is None:
                 raise OracleMissing(f"interval oracle returned no finite answer for {(z, pivot)}")
-            answers.append(ans)
+            parts += ans.parts if type(ans) is IdRuns else (ans,)
         # An earlier pivot below p means p is not minimal, and then no
         # minimal pivot lies above it; dually for the maximal list.
         if not below:
             minimal = [m for m in minimal if not leq(pivot, m)] + [pivot]
         if not above:
             maximal = [m for m in maximal if not leq(m, pivot)] + [pivot]
-        return chain.from_iterable(answers), BlockSide.LEFT if above else BlockSide.RIGHT
+        return IdRuns(parts), BlockSide.LEFT if above else BlockSide.RIGHT
 
     return assemble(Kind.ZETA, _block_run(stream, step), blocks_wanted, elements_wanted)
 

@@ -1010,14 +1010,16 @@ def zeta_stream(variant: int = 0) -> StreamPoset:
     """The integers, enumerated outward from 0; ids are zigzag codes.
 
     All three enumeration variants present the same order and the same
-    interval oracle; only the stage order differs.
+    interval oracle; only the stage order differs.  An interval answers an
+    :class:`IdRuns` of two ranges, the odd codes of its negatives and then
+    the even codes of the rest, which the ζ run hands on part by part.
     """
     _zeta_stage_value(variant, 0)  # validate the variant eagerly
 
-    def interval(x: int, y: int) -> list[int]:
+    def interval(x: int, y: int) -> IdRuns:
         a, b = sorted((zigzag_decode(x), zigzag_decode(y)))
         # a..b ascending: the odd codes of the negatives, then the even codes of the rest.
-        return [*range(-2 * a - 1, max(-2 * b - 2, 0), -2), *range(max(2 * a, 0), 2 * b + 1, 2)]
+        return IdRuns((range(-2 * a - 1, max(-2 * b - 2, 0), -2), range(max(2 * a, 0), 2 * b + 1, 2)))
 
     def le(a, b):
         return zigzag_decode(a) <= zigzag_decode(b)

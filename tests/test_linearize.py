@@ -55,6 +55,7 @@ from taulike.streams import (
     omega_star_stream,
     omega_stream,
     stream_from_finite,
+    take,
     zeta_stream,
     zigzag_decode,
 )
@@ -348,11 +349,41 @@ def _zeta_run_matches_every_pivot(stream, enumeration, blocks_wanted=None, eleme
     assert order.anchor_index == want_anchor
 
 
+def _in_runs(listing: list[int], rng: random.Random):
+    """``listing``, maybe reversed, cut at random points into parts.
+
+    In each piece a maximal run on one step is a ``range``, and an id left
+    at its end is a list; a cut at an end or twice at one point leaves an
+    empty part.  One part may come bare, more come as an :class:`IdRuns`.
+    """
+    ids = listing[::-1] if rng.random() < 0.5 else list(listing)
+    cuts = sorted(rng.choices(range(len(ids) + 1), k=rng.randint(0, 4)))
+    parts: list = []
+    for a, b in zip([0, *cuts], [*cuts, len(ids)]):
+        piece = ids[a:b]
+        if not piece:
+            parts.append(rng.choice(([], range(a, a))))
+        i = 0
+        while i + 1 < len(piece):
+            step, j = piece[i + 1] - piece[i], i + 1
+            while j + 1 < len(piece) and piece[j + 1] - piece[j] == step:
+                j += 1
+            parts.append(range(piece[i], piece[j] + step, step))
+            i = j + 1
+        if i < len(piece):
+            parts.append(piece[i:])
+    return parts[0] if len(parts) == 1 and rng.random() < 0.5 else IdRuns(parts)
+
+
 @pytest.mark.parametrize("density", [0.0, 0.1, 0.25, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("seed", range(8))
 def test_zeta_matches_every_pivot_rule_on_random_finite(density, seed):
     p = random_poset(12, density, seed=seed)
     _zeta_run_matches_every_pivot(stream_from_finite(p), p.elements)
+    # The same intervals in runs and lists, which the run reads part by part.
+    rng, stream = random.Random(seed), stream_from_finite(p)
+    stream.oracles = dataclasses.replace(stream.oracles, interval=lambda x, y: _in_runs(p.interval(x, y), rng))
+    _zeta_run_matches_every_pivot(stream, p.elements)
 
 
 def test_zeta_matches_every_pivot_rule_on_nearest_pivot_counterexample():
@@ -953,16 +984,23 @@ def _with_deadline(stream: StreamPoset, seconds: float) -> StreamPoset:
             lambda: make_range_gadget("perm:1,3,13,10,9,16,17,8,7,0,4,14,15,23,11,2,21,19,20,6,5,18,12,22").stream,
             100_000,
         ),
+        *(pytest.param(Kind.ZETA, lambda v=v: zeta_stream(v), 50_000, id=f"zeta-zeta.{v}-50000") for v in range(3)),
+        (Kind.ZETA, omega_stream, 50_000),
     ],
 )
 def test_block_runs_at_scale_run_in_seconds(kind, make, n):
     """Each range answer costs its new ids, so these runs take about a second;
-    without path compression every walk is linear and each run quadratic."""
+    without path compression every walk is linear and each run quadratic.
+    A ζ run hands its interval answers on part by part, so it jumps them too."""
     start = time.perf_counter()
     _, order = linearize(_with_deadline(make(), 5.0), kind, elements=n)
     assert time.perf_counter() - start < 5.0
     assert len(order) == n
-    if kind is not Kind.OMEGA_PLUS_OMEGA_STAR:
+    if kind is Kind.ZETA:
+        stream = make()
+        value = zigzag_decode if stream.name.startswith("zeta") else int
+        assert list(order) == sorted(take(stream, n), key=value)
+    elif kind is not Kind.OMEGA_PLUS_OMEGA_STAR:
         assert list(order) == list(range(n) if kind is Kind.OMEGA else range(n - 1, -1, -1))
 
 

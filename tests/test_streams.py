@@ -245,7 +245,9 @@ def test_zeta_interval_is_the_per_id_list(variant, a, b):
     interval = zeta_stream(variant).oracles.interval
     x, y = zigzag_encode(a), zigzag_encode(b)
     low, high = sorted((a, b))
-    assert interval(x, y) == [zigzag_encode(v) for v in range(low, high + 1)]
+    answer = interval(x, y)
+    assert type(answer) is IdRuns and all(type(part) is range for part in answer.parts)
+    assert list(answer) == [zigzag_encode(v) for v in range(low, high + 1)]
 
 
 def test_zeta_variants_present_same_order():
