@@ -22,17 +22,17 @@ from .errors import FormatError, TaulikeError, TooLarge
 from .gadgets import (
     FufGadget,
     FunctionSpec,
-    decode_false_stages,
     decode_range,
     fuf_decode,
     make_embed_gadget,
     make_fuf_gadget,
     make_range_gadget,
     make_stage_order,
+    read_false_stages,
 )
 from .harness import check_kinds, random_poset
 from .kinds import BlockSide, FinSide, Kind
-from .linearize import assemble, linearize, omega_blocks, split_linearize, szpilrajn_extend
+from .linearize import assemble, linearize, omega_blocks, szpilrajn_extend
 from .poset import poset_from_json_dict, poset_to_json_dict
 from .streams import (
     STREAM_FAMILIES,
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flag(q)
     q = dec_sub.add_parser("false-stages", help="undercut stages read off a split run")
     q.add_argument("--f", metavar="SPEC", required=True, help=_F_HELP)
-    q.add_argument("--horizon", type=natural, default=100, help="chain elements to emit (default 100)")
+    q.add_argument("--horizon", type=natural, default=100, help="cap on the stages read (default 100)")
     q.add_argument("--elements", type=natural, help="report stages below this (default min(50, horizon))")
     _add_out_flag(q)
     q = dec_sub.add_parser("range", help="membership of m in the function's value set")
@@ -327,13 +327,10 @@ def _cmd_decode(args, parser) -> dict:
         }
     fspec = FunctionSpec.parse(args.f)
     if args.what == "false-stages":
-        horizon = args.horizon
-        s = args.elements if args.elements is not None else min(50, horizon)
-        gadget = make_range_gadget(fspec)
-        order = split_linearize(gadget.stream, 2 * horizon)
-        decoded = decode_false_stages(order, s)
+        s = args.elements if args.elements is not None else min(50, args.horizon)
+        decoded = read_false_stages(make_range_gadget(fspec), s, args.horizon)
         return {
-            "schema": "taulike.decode.false-stages/1",
+            "schema": "taulike.decode.false-stages/2",
             "f": fspec.describe(),
             "requested": s,
             "horizon": decoded.horizon,

@@ -27,6 +27,7 @@ from .errors import (
     UnknownIdError,
 )
 from .kinds import FinSide, Kind
+from .linearize import split_linearize
 from .poset import FinitePoset, LinearOrder, build_poset, is_linear_extension
 from .streams import IdRuns, OracleBundle, StreamPoset, _bulk, stream_from_finite
 
@@ -38,6 +39,7 @@ __all__ = [
     "make_range_gadget",
     "DecodedFalseStages",
     "decode_false_stages",
+    "read_false_stages",
     "EmbedGadget",
     "make_embed_gadget",
     "decode_range",
@@ -390,6 +392,42 @@ def decode_false_stages(order: LinearOrder, s: int) -> DecodedFalseStages:
         return DecodedFalseStages(frozenset(), 0)
     stages = frozenset(n for n in range(s) if a_pos[n] < min_b_pos)
     return DecodedFalseStages(stages, horizon)
+
+
+def read_false_stages(gadget: RangeGadget, s: int, horizon: int) -> DecodedFalseStages:
+    """The false stages below ``s``, read off the split of the first 2·min(s, horizon) ids.
+
+    The gadget's stream enumerates a_0, b_0, a_1, b_1, ..., so with
+    k = min(s, horizon) those ids are a_0..a_{k-1} and b_0..b_{k-1}, and the
+    chain run read is k: ``horizon`` only caps it, and when it is below
+    ``s`` :func:`decode_false_stages` refuses with HorizonTooSmall.
+
+    Reading more ids cannot change the answer.  The split of a longer
+    prefix runs the same blocks first, since each run's pivot is the least
+    unabsorbed id of its part and this prefix's ids come first.  Its later
+    FIN_PRED blocks go right of the earlier ones and its later FIN_SUCC
+    blocks left of them, and every position is final, so the longer order
+    is this order's FIN_PRED part, the new FIN_PRED blocks, the new FIN_SUCC
+    blocks, then this order's FIN_SUCC part.  So a stage below ``s`` that
+    sits right of some chain element here still does there.  A stage of the
+    FIN_PRED part left of every chain element here stays left of them,
+    since every new element goes right of that part.  Only a FIN_SUCC stage
+    left of every chain element could move, because new chain elements may
+    go left of it; such a reading is refused with HorizonTooSmall.  On the
+    gadget it cannot arise: the last FIN_SUCC id is b_{k-1}, whose
+    successors are the earlier chain ids, so no earlier block holds it, and
+    its block is pulled last and goes leftmost.
+    """
+    if s < 0:
+        raise FormatError(f"stage count must be a natural, got {s}")
+    order = split_linearize(gadget.stream, 2 * min(s, horizon))
+    decoded = decode_false_stages(order, s)
+    movable = [n for n in sorted(decoded.stages) if order.sides[2 * n] is not FinSide.FIN_PRED]
+    if movable:
+        raise HorizonTooSmall(
+            f"FIN_SUCC stages {movable[:4]} sit left of every chain element, so a longer split can move them"
+        )
+    return decoded
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,44 @@ def zeta_blocks_every_pivot(enumeration, leq, interval, blocks_wanted=None, elem
     return blocks, order, anchor
 
 
+def embed_gadget_omega_embedding(rng, values, size, max_gap=3) -> dict[int, int]:
+    """A random ω-embedding, with random gaps, of a random down-set of the
+    embed gadget among the ids below ``size``; maps id to coordinate.
+
+    The gadget is restated from its definition: even id 2m is the top a_m,
+    stage n owns the n + 1 odd ids 2·(n(n+1)/2 + j) + 1 for j <= n, and a
+    fan id of stage n lies below a_m exactly when values[n] <= m.
+    ``values`` must list every stage whose value is at most size // 2.  A
+    top goes in only with every fan id below it, so the set is downward
+    closed in the whole gadget, not only among the ids below ``size``.  The
+    ids are laid out along a random linear extension, each coordinate one
+    to ``max_gap + 1`` past the last."""
+
+    def fan(n):
+        first = 2 * (n * (n + 1) // 2) + 1
+        return range(first, first + 2 * (n + 1), 2)
+
+    fans_below = {m: {x for n, v in enumerate(values) if v <= m for x in fan(n)} for m in range((size + 1) // 2)}
+    chosen = {x for n in range(size) for x in fan(n) if x < size and rng.random() < 0.5}
+    tops = [m for m, below in fans_below.items() if max(below, default=0) < size and rng.random() < 0.5]
+    for m in tops:
+        chosen |= fans_below[m]
+    # Fans are pairwise incomparable and so are tops, so every linear
+    # extension comes from a shuffle of the fans with each top put anywhere
+    # after its last fan.
+    order = sorted(chosen)
+    rng.shuffle(order)
+    rng.shuffle(tops)
+    for m in tops:
+        last = max((i for i, x in enumerate(order) if x in fans_below[m]), default=-1)
+        order.insert(rng.randint(last + 1, len(order)), 2 * m)
+    coords, c = {}, rng.randrange(max_gap + 1)
+    for x in order:
+        coords[x] = c
+        c += 1 + rng.randrange(max_gap + 1)
+    return coords
+
+
 def listing_faults(oracle, x, ans, truth, compare, prefix, exempt=(), cap=50, sound_cap=2000):
     """The rule one oracle answer about ``x`` must pass, restated.
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from taulike import (
     FinSide,
+    HorizonTooSmall,
     Kind,
     OracleBundle,
     StreamPoset,
@@ -36,6 +37,7 @@ from taulike import (
     omega_star_linearize,
     omega_star_stream,
     omega_stream,
+    read_false_stages,
     split_linearize,
     stream_from_finite,
     szpilrajn_extend,
@@ -258,6 +260,7 @@ def test_criterion_6_false_stage_recovery(record_criterion):
     t0 = time.perf_counter()
     horizons = (100, 250, 500)
     exact = {h: 0 for h in horizons}
+    stop_rule_exact = {h: 0 for h in horizons}
     for text in TWENTY_SPECS:
         f = FunctionSpec.parse(text)
         assert len(f.false_stages()) <= 5, text
@@ -267,16 +270,50 @@ def test_criterion_6_false_stage_recovery(record_criterion):
             order = split_linearize(gadget.stream, 2 * h)
             if decode_false_stages(order, 50).stages == truth:
                 exact[h] += 1
+            decoded = read_false_stages(gadget, 50, h)
+            if decoded.stages == truth and decoded.horizon == 50:
+                stop_rule_exact[h] += 1
     for h in horizons:
-        print(f"convergence: horizon {h}: {exact[h]}/20 exact")
+        print(f"convergence: horizon {h}: {exact[h]}/20 exact, stop rule {stop_rule_exact[h]}/20")
     elapsed = time.perf_counter() - t0
     record_criterion(
         6,
-        exact[500] == 20 and exact[250] == 20 and exact[100] == 20 and elapsed < 60.0,
+        exact[500] == 20 and exact[250] == 20 and exact[100] == 20
+        and all(n == 20 for n in stop_rule_exact.values()) and elapsed < 60.0,
         f"false stages below 50 exact for 20/20 functions at horizon 500 "
-        f"(convergence {exact[100]}/{exact[250]}/{exact[500]} at 100/250/500); "
+        f"(convergence {exact[100]}/{exact[250]}/{exact[500]} at 100/250/500, stop rule "
+        f"{stop_rule_exact[100]}/{stop_rule_exact[250]}/{stop_rule_exact[500]}); "
         f"{elapsed:.1f}s (cap 60s)",
     )
+
+
+def _reading(decode):
+    try:
+        return decode().stages
+    except HorizonTooSmall as exc:
+        return str(exc)
+
+
+def test_the_stop_rule_reads_the_stages_the_full_horizon_split_reads():
+    """The 2·min(S, horizon) split gives the stages and refusals of the 2·horizon one."""
+    rng = random.Random(2024)
+    drawn = []
+    for _ in range(20):
+        head = list(range(rng.choice((8, 24, 60))))
+        rng.shuffle(head)
+        drawn.append(FunctionSpec(tuple(head), rng.randrange(4)))
+    refusals = 0
+    for f in [*map(FunctionSpec.parse, TWENTY_SPECS), *drawn]:
+        gadget = make_range_gadget(f)
+        splits = {}
+        for s in (0, 1, 10, 50):
+            for h in (s // 2, s, 2 * s, 300, 1600):
+                if h not in splits:
+                    splits[h] = split_linearize(gadget.stream, 2 * h)
+                old = _reading(lambda: decode_false_stages(splits[h], s))
+                assert _reading(lambda: read_false_stages(gadget, s, h)) == old, (f.describe(), s, h)
+                refusals += isinstance(old, str)
+    assert refusals == 40 * 3  # every s // 2 < s refuses
 
 
 def _embedding_laws(stream: StreamPoset, emb) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -345,6 +346,33 @@ def test_domain_errors_exit_one(tmp_path):
     bad.write_text("{not json")
     got = run_cli("verify", "--input", str(bad), expect=1)
     assert got["error"]["code"] == "FormatError"
+
+
+def test_decode_false_stages_refuses_more_stages_than_the_horizon():
+    assert run_cli_error("decode", "false-stages", "--f", "swap:2", "--elements", "60", "--horizon", "20") == {
+        "code": "HorizonTooSmall",
+        "detail": "contiguous chain run has length 20, need at least 60",
+    }
+
+
+@pytest.mark.parametrize("argv", [[], ["--elements", "10"]], ids=["default", "elements 10"])
+def test_decode_false_stages_enumerates_only_the_stages_it_reads(monkeypatch, argv):
+    # element_at checks the stages that a call adds to its stream's cache
+    checked = collections.Counter()
+    inner = taulike.streams.StreamPoset.element_at
+
+    def counted(stream, stage):
+        before = len(stream._cache)
+        try:
+            return inner(stream, stage)
+        finally:
+            checked.update(range(before, len(stream._cache)))
+
+    monkeypatch.setattr(taulike.streams.StreamPoset, "element_at", counted)
+    got = run_cli("decode", "false-stages", "--f", "perm:2,5,1,7,0,4,3,6;gap:2", "--horizon", "1600", *argv)
+    s = got["requested"]
+    assert got["horizon"] == s and got["stages"] == got["ground_truth"]
+    assert checked == collections.Counter(range(2 * s))
 
 
 def test_decode_range_refuses_a_horizon_short_of_the_top_element():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import brute
 from taulike import (
+    Embedding,
     FormatError,
     HorizonTooSmall,
     Kind,
@@ -28,13 +31,14 @@ from taulike import (
     make_fuf_gadget,
     make_range_gadget,
     make_stage_order,
+    read_false_stages,
     split_linearize,
     szpilrajn_extend,
     validate_oracles,
 )
-from taulike.gadgets import EmbedGadget, FunctionSpec, _stage_le, _witness_times, _witness_table
+from taulike.gadgets import EmbedGadget, FunctionSpec, RangeGadget, _stage_le, _witness_times, _witness_table
 from taulike.kinds import FinSide
-from taulike.streams import take
+from taulike.streams import StreamPoset, prefix, take
 
 
 # -- function specs -----------------------------------------------------------
@@ -430,6 +434,34 @@ def test_decoded_json_shape():
     assert doc["stages"] == [0] and doc["horizon"] == out.horizon
 
 
+def test_decode_false_stages_misreads_an_extension_the_split_does_not_build():
+    # Outside the decoder's contract: the split's FIN_PRED part, then its
+    # FIN_SUCC stages, then its chain elements, each in split order.
+    g = make_range_gadget("swap:2")
+    split = split_linearize(g.stream, 40)
+    low = [x for x in split if split.sides[x] is FinSide.FIN_PRED]
+    high = [x for x in split if split.sides[x] is FinSide.FIN_SUCC]
+    order = LinearOrder(tuple(low + [x for x in high if x % 2 == 0] + [x for x in high if x % 2 == 1]))
+    assert is_linear_extension(order, prefix(g.stream, 40))
+    out = decode_false_stages(order, 4)
+    assert (out.stages, out.horizon) == ({0, 1, 2, 3}, 20)
+    assert g.ground_truth_false() == {0, 2}
+
+
+def test_read_false_stages_refuses_a_stage_a_longer_split_can_move():
+    # Enumerated b_n before a_n, the split's last FIN_SUCC id is the
+    # never-undercut a_4, so it goes left of the whole chain; a longer split
+    # puts b_5 left of it.
+    g = make_range_gadget("identity")
+    s = g.stream
+    swapped = RangeGadget(g.fspec, StreamPoset(lambda k: k ^ 1, s.leq, oracles=s.oracles, name="swapped"))
+    assert decode_false_stages(split_linearize(swapped.stream, 10), 5).stages == {4}
+    with pytest.raises(HorizonTooSmall, match=r"^FIN_SUCC stages \[4\] sit left of every chain element"):
+        read_false_stages(swapped, 5, 100)
+    assert decode_false_stages(split_linearize(swapped.stream, 12), 5).stages == frozenset()
+    assert read_false_stages(g, 5, 100).stages == frozenset()
+
+
 # -- the embedding gadget ---------------------------------------------------------------
 
 
@@ -543,6 +575,46 @@ def test_decode_range_matches_membership(m):
     f = FunctionSpec.parse("perm:3,1,0,2;gap:2")
     got = _range_pipeline("perm:3,1,0,2;gap:2", m, budget=220)
     assert got == f.in_range(m)
+
+
+@st.composite
+def _function_specs(draw, max_width=8, max_gap=4):
+    head = draw(st.permutations(range(draw(st.integers(0, max_width)))))
+    return FunctionSpec(tuple(head), draw(st.integers(0, max_gap)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=_function_specs(),
+    size=st.integers(0, 80),
+    seed=st.integers(0, 2**16),
+    m=st.integers(0, 44),
+    embedded=st.booleans(),
+    known=st.integers(0, 80),
+    max_gap=st.sampled_from([0, 1, 3]),
+)
+def test_decode_range_on_embeddings_the_package_did_not_build(f, size, seed, m, embedded, known, max_gap):
+    coords = brute.embed_gadget_omega_embedding(random.Random(seed), f.values(f.window + size), size, max_gap)
+    tops = sorted(x // 2 for x in coords if x % 2 == 0)
+    if embedded and tops:
+        m = tops[m % len(tops)]
+    # the generator's embedding is a down-set of the gadget, order-preserving and injective
+    stream = make_embed_gadget(f).stream
+    ids = sorted(coords)
+    for x in ids:
+        if x % 2 == 0:
+            assert set(stream.oracles.predecessors(x)) <= coords.keys()
+    at = np.array([coords[x] for x in ids])
+    assert len(set(at.tolist())) == len(ids)
+    assert not (stream.relation_matrix(ids) & (at[:, None] >= at[None, :]) & ~np.eye(len(ids), dtype=bool)).any()
+    try:
+        got = decode_range(Embedding(Kind.OMEGA, coords), f.values(known), m)
+    except UnknownIdError:
+        assert 2 * m not in coords
+    except PrefixTooShort:
+        assert 2 * m in coords and coords[2 * m] > known
+    else:
+        assert got == f.in_range(m)
 
 
 # -- finite union gadgets ---------------------------------------------------------------
