@@ -24,13 +24,9 @@ from .poset import (
     FinitePoset,
     LinearOrder,
     build_poset,
-    disjoint_sum,
     is_linear_extension,
-    lex_sum,
-    pair_id,
     poset_from_json_dict,
     poset_to_json_dict,
-    unpair_id,
 )
 from .streams import (
     STREAM_FAMILIES,

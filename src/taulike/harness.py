@@ -145,9 +145,9 @@ def check_tau_like(
     witnessed statistics.  For a stream, each prefix element asks the oracle
     its kind relies on (predecessors for omega, successors for omega-star,
     the side-chosen cone for omega-omega-star, ``interval(ids[0], x)`` for
-    zeta); every answer must be defined and pass :func:`check_listing`
-    against the prefix relation, and its size goes into the counts.  A
-    :class:`PrefixAudit` screens the answers in bulk and spot-checks the
+    zeta); every answer must be defined and pass the listing rule of
+    :class:`PrefixAudit` against the prefix relation, and its size goes into
+    the counts.  The audit screens the answers in bulk and spot-checks the
     stream's bulk hook; a disagreement with ``leq`` is the first note, and
     otherwise each partial-order axiom the prefix relation breaks is one.
     This is the one-kind case of :func:`check_kinds`.
@@ -169,8 +169,8 @@ def check_kinds(
     ask for them, then ``interval(ids[0], x)`` for zeta.  Each answer is
     screened once and credited to every kind that relies on it; no answer is
     kept past its chunk.  A faulty answer's note names the first violation
-    :func:`check_listing` reports and how many more it reports, so the
-    screen builds only that one.  A bulk-hook fault found anywhere in the
+    the listing rule of :class:`PrefixAudit` reports and how many more it
+    reports, so the screen builds only that one.  A bulk-hook fault found anywhere in the
     call is the first note of every report; without one, each partial-order
     axiom the prefix relation breaks heads every report.
     """

@@ -11,7 +11,6 @@ matrix that satisfies them by construction and skips that check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -21,7 +20,6 @@ import numpy as np
 from .errors import (
     CycleError,
     FormatError,
-    MissingPartError,
     TooLarge,
     UnknownIdError,
 )
@@ -33,11 +31,7 @@ __all__ = [
     "CanonicalPoint",
     "ExtensionCheck",
     "build_poset",
-    "lex_sum",
-    "disjoint_sum",
     "is_linear_extension",
-    "pair_id",
-    "unpair_id",
     "POSET_SCHEMA",
     "poset_to_json_dict",
     "poset_from_json_dict",
@@ -53,23 +47,6 @@ MAX_DOCUMENT_PAIRS = 64 * MAX_DOCUMENT_ELEMENTS
 # Element ids are the ints 0 <= id < ID_LIMIT, the range of the int64 arrays
 # that relation matrices and oracle audits index by id.
 ID_LIMIT = 1 << 63
-
-
-def pair_id(part: int, member: int) -> int:
-    """Cantor pairing; the stable id given to element ``member`` of part ``part``."""
-    if part < 0 or member < 0:
-        raise UnknownIdError(f"pairing needs non-negative ints, got ({part}, {member})")
-    s = part + member
-    return s * (s + 1) // 2 + member
-
-
-def unpair_id(code: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_id`."""
-    if code < 0:
-        raise UnknownIdError(f"pair codes are non-negative, got {code}")
-    s = (math.isqrt(8 * code + 1) - 1) // 2
-    member = code - s * (s + 1) // 2
-    return s - member, member
 
 
 def _index_ids(elements: Sequence[int]) -> dict[int, int]:
@@ -343,38 +320,6 @@ def _cycle_witness(succ: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 def _cycle_error(a: int, b: int) -> CycleError:
     return CycleError(f"elements {a} and {b} are mutually below each other")
-
-
-# -- sums ---------------------------------------------------------------
-
-
-def lex_sum(index: FinitePoset, parts: Mapping[int, FinitePoset]) -> FinitePoset:
-    """Lexicographic sum of ``parts`` along ``index``.
-
-    Output ids are ``pair_id(i, x)`` for part ``i`` and member ``x``;
-    ``(i, x) <= (j, y)`` iff ``i < j`` in the index or ``i == j`` and
-    ``x <= y`` inside the part.
-    """
-    for i in index.elements:
-        if i not in parts:
-            raise MissingPartError(f"no part supplied for index element {i}")
-    tagged = [(i, x) for i in index.elements for x in parts[i].elements]
-    elems = [pair_id(i, x) for i, x in tagged]
-    pairs = []
-    for i, x in tagged:
-        for j, y in tagged:
-            if i == j:
-                if parts[i].le(x, y):
-                    pairs.append((pair_id(i, x), pair_id(j, y)))
-            elif index.le(i, j):
-                pairs.append((pair_id(i, x), pair_id(j, y)))
-    return FinitePoset.from_closed(elems, pairs)
-
-
-def disjoint_sum(parts: Sequence[FinitePoset]) -> FinitePoset:
-    """Disjoint (parallel) sum: lex sum along an antichain index 0..n-1."""
-    idx = FinitePoset.from_closed(range(len(parts)), [])
-    return lex_sum(idx, dict(enumerate(parts)))
 
 
 # -- linear orders -------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_oracles",
-    "check_listing",
     "as_id",
     "read_side",
     "omega_stream",
@@ -445,64 +444,10 @@ def distinct_ids(ans, other_than: int) -> int:
     return len(set(chain.from_iterable(parts)) - {other_than})
 
 
+_NOT_AN_ID = "listed element is not an id"
+_TWICE = "answer lists an element twice"
 _FAILS = "listed element fails the comparison"
 _MISSING = "in-prefix element is missing"
-
-
-def _listing(ans) -> range | list[int]:
-    """An answer as :func:`check_listing` reads it: one ``range``, or a list of ints.
-
-    Raises :class:`_NotAnId` with the first entry that lists no id.
-    """
-    parts = [_as_ids(part) for part in _parts(ans)]
-    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
-
-
-def check_listing(
-    oracle: str,
-    x: int,
-    ans: Sequence[int],
-    truth: set[int],
-    compare: Callable[[int], bool],
-    id_set: set[int],
-    exempt: set[int] = frozenset(),
-) -> list[Violation]:
-    """Check one oracle answer about ``x`` against the prefix relation.
-
-    ``truth`` holds the prefix ids the answer must list and ``id_set`` the
-    whole prefix; listed ids outside the prefix are decided by ``compare``.
-    The answer must list only ids, nothing twice, only elements that pass the
-    comparison, and miss no element of ``truth``.  An entry that is not an id
-    (see :func:`as_id`) is the one violation reported, and ``compare`` never
-    sees it; a ``range`` part is decided from its ends before anything is
-    listed.  ``exempt`` ids need not be listed: cone answers may skip the
-    element itself (self-comparability carries no information).  At most
-    ``_MAX_RECORDED`` violations return.
-    """
-    try:
-        ans = _listing(ans)
-    except _NotAnId as exc:
-        return [Violation("UNSOUND", oracle, (x, exc.args[0]), "listed element is not an id")]
-    listed = set(ans)
-    if len(listed) != len(ans):
-        seen: set[int] = set()
-        for y in ans:
-            if y in seen:
-                return [Violation("UNSOUND", oracle, (x, y), "answer lists an element twice")]
-            seen.add(y)
-    found: list[Violation] = []
-    to_verify = ans if len(ans) <= _ANSWER_SOUND_CAP else ans[:: max(1, len(ans) // _ANSWER_SOUND_CAP)]
-    for y in to_verify:
-        sound = y in truth if y in id_set else compare(y)
-        if not sound:
-            found.append(Violation("UNSOUND", oracle, (x, y), _FAILS))
-            if len(found) >= _MAX_RECORDED:
-                return found
-    for y in truth - listed - set(exempt):
-        found.append(Violation("INCOMPLETE", oracle, (x, y), _MISSING))
-        if len(found) >= _MAX_RECORDED:
-            return found
-    return found
 
 
 def as_id(y) -> int | None:
@@ -541,29 +486,42 @@ class PrefixAudit:
     :meth:`screen` takes ``(name, i, j, answer, ...)`` queries, where ``name``
     is ``predecessors`` or ``successors`` of ``ids[i]`` or ``interval`` of
     ``ids[i]`` and ``ids[j]``; items after the answer ride along untouched.
-    It clears them a chunk at a time: the chunk's list parts become one id
-    array, listed ids are found in the prefix by ``searchsorted``, soundness
-    is read off the truth rows and completeness is ``truth & ~hit``.  A
-    ``range`` part is never listed: its ends decide whether it lists only
-    ids, the entries :func:`check_listing` samples are computed from their
-    offsets, and the prefix ids between its ends that lie on its step are
-    its other prefix hits.  An answer whose parts are strictly monotone with
-    disjoint spans lists no id twice; any other is listed whole and checked
-    for repeats.  The sampled ids an answer lists outside the prefix are
-    decided in answer order by one rectangular ``relation_matrix`` per
-    answer.  Only answers that may be faulty are judged, so violations read
-    as if every answer had gone through :func:`check_listing`: one with an
-    entry that is not an id or an id listed twice goes through it, any other
-    is judged by its rule from the arrays the screen built.  Wherever the
-    stream's bulk hook built a matrix, sampled cells are compared with
-    ``leq``; the first disagreement is kept in ``hook_fault``.
+
+    The listing rule.  The truth row of a query holds the prefix ids its
+    answer owes; a listed id outside the prefix is decided by the scalar
+    ``leq``.  The first entry that is not an id (see :func:`as_id`), and
+    failing that the first id listed again, is the one violation an answer
+    reports, and ``leq`` never sees it; a ``range`` part is decided from its
+    ends before anything is listed.  Otherwise every listed id, or every
+    ``len // _ANSWER_SOUND_CAP``-th one of an answer longer than
+    ``_ANSWER_SOUND_CAP``, must pass: a prefix id must be owed and any other
+    must pass the comparison.  Then every owed id the answer does not list
+    is missing, except that a cone answer may leave out its own subject.  An
+    answer reports at most ``_MAX_RECORDED`` violations: the ``UNSOUND``
+    ones in listing order, then the ``INCOMPLETE`` ones in the order of the
+    Python set of owed ids less the listed and exempt ones.
+
+    The screen clears queries a chunk at a time: the chunk's list parts
+    become one id array, listed ids are found in the prefix by
+    ``searchsorted``, soundness is read off the truth rows and completeness
+    is ``truth & ~hit``.  A ``range`` part is never listed: its ends decide
+    whether it lists only ids, the entries the rule samples are computed
+    from their offsets, and the prefix ids between its ends that lie on its
+    step are its other prefix hits.  An answer whose parts are strictly
+    monotone with disjoint spans lists no id twice; any other is listed
+    whole and checked for repeats.  The sampled ids an answer lists outside
+    the prefix are decided in answer order by one rectangular
+    ``relation_matrix`` per answer.  Only answers that may be faulty are
+    judged, so violations read as if every answer had been checked alone.
+    Wherever the stream's bulk hook built a matrix, sampled cells are
+    compared with ``leq``; the first disagreement is kept in ``hook_fault``.
     ``relation_faults`` lists what is wrong with the prefix relation itself:
     a hook fault found on the prefix square, then each partial-order axiom
     the square breaks.
     """
 
     def __init__(self, stream: StreamPoset, ids: list[int]):
-        self.stream, self.ids, self.id_set = stream, ids, set(ids)
+        self.stream, self.ids = stream, ids
         self.m = stream.relation_matrix(ids)
         self.mt = np.ascontiguousarray(self.m.T)
         self.arr = np.asarray(ids, dtype=np.int64)
@@ -618,8 +576,8 @@ class PrefixAudit:
         holds ``_CHUNK_IDS`` listed ids or ``_CHUNK_CELLS`` truth cells; the
         chunk is dropped once it is yielded.  With ``first_only``, a defined
         answer's violations come as ``(first, count)``: the first violation
-        :func:`check_listing` reports (None when it reports none) and how
-        many it reports.
+        the listing rule reports (None when it reports none) and how many it
+        reports.
         """
         rows_cap = max(1, _CHUNK_CELLS // len(self.ids))
         batch: list[tuple] = []
@@ -649,22 +607,23 @@ class PrefixAudit:
             if not flag[r]:
                 found = (None, 0) if first_only else []
             else:
-                found = self._check(q, truth[r], None if odd[r] else entries(r), first_only)
+                fault = odd.get(r)
+                found = self._check(q, truth[r], fault, None if fault else entries(r), first_only)
             yield q, found
             r += 1
 
     def _suspects(self, qs: list[tuple]) -> tuple:
-        """Which answers might fail :func:`check_listing` (the rest pass it), and what judges them.
+        """Which answers might fail the listing rule (the rest pass it), and what judges them.
 
-        Returns the flags; which flagged answers list an entry that is not an
-        id or an id twice (``odd``, left to :func:`check_listing`); every
-        answer's truth row; and ``entries(r)``, what :meth:`_check` reads of
-        any other flagged answer r.
+        Returns the flags; ``odd``, which maps each answer with an entry that
+        is not an id or an id listed twice to its one fault, ``(entry,
+        detail)``; every answer's truth row; and ``entries(r)``, what
+        :meth:`_check` reads of any other flagged answer r.
         """
         n, k = len(self.ids), len(qs)
-        flag, odd = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        odd: dict[int, tuple] = {}
         if not k:
-            return flag, odd, np.zeros((0, n), dtype=bool), None
+            return np.zeros(0, dtype=bool), odd, np.zeros((0, n), dtype=bool), None
         names = [q[0] for q in qs]
         i = np.array([q[1] for q in qs], dtype=np.int64)
         j = np.array([q[2] for q in qs], dtype=np.int64)
@@ -685,8 +644,8 @@ class PrefixAudit:
                 continue
             try:
                 parts = [_as_ids(ans)] if isinstance(ans, range) else [*map(_as_ids, ans.parts)]
-            except _NotAnId:
-                odd[r] = True
+            except _NotAnId as exc:
+                odd[r] = (exc.args[0], _NOT_AN_ID)
                 continue
             if len(parts) > 1 and not _repeat_free(parts):
                 parts = [list(chain.from_iterable(parts))]
@@ -700,13 +659,17 @@ class PrefixAudit:
                     runs += (len(list_at) + len(runs), r, offset, part.start, part.step if count > 1 else 1, count)
                 offset += count
             size[r] = offset
-        # One array for the chunk's lists; list by list only to find the malformed ones.
+        # One array for the chunk's lists; list by list only to read the
+        # ones numpy does not take as ints, entry by entry.
         flat = _id_array(list(chain.from_iterable(lists)))
         if flat is None:
             arrays = [_id_array(part) for part in lists]
             for t, a in enumerate(arrays):
                 if a is None:
-                    odd[list_at[3 * t + 1]], arrays[t] = True, _NO_IDS
+                    try:
+                        arrays[t] = np.array(_as_ids(lists[t]), dtype=np.int64)
+                    except _NotAnId as exc:
+                        odd[list_at[3 * t + 1]], arrays[t] = (exc.args[0], _NOT_AN_ID), _NO_IDS
             lists = arrays
             flat = np.concatenate([_NO_IDS, *arrays])
         lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
@@ -714,17 +677,26 @@ class PrefixAudit:
         # Each listed id's place and answer.
         at = np.array(list_at, dtype=np.int64).reshape(-1, 3)
         place, seg = np.repeat(at[:, 0], lens), np.repeat(at[:, 1], lens)
-        odd[seg[flat < 0]] = True
-        # A repeated id: only lists that do not strictly increase are sorted.
-        rough = np.zeros(k, dtype=bool)
+
+        def fault(e: np.ndarray, detail: str) -> None:
+            """Each answer's first of the ascending flat positions ``e`` is its fault, unless it has one."""
+            for t in e[np.unique(seg[e], return_index=True)[1]].tolist():
+                odd.setdefault(int(seg[t]), (int(flat[t]), detail))
+
+        # Each answer's fault: its first negative entry, else the first id it
+        # lists again.  A list answer's entries are its listing, in order, and
+        # so is a run answer's once it lists an id twice.
+        fault(np.flatnonzero(flat < 0), _NOT_AN_ID)
+        rough = np.zeros(k, dtype=bool)  # only lists that do not strictly increase are sorted
         rough[seg[1:][(flat[1:] <= flat[:-1]) & (seg[1:] == seg[:-1])]] = True
         if rough.any():
-            keep = rough[seg]
-            fs, ss = flat[keep], seg[keep]
-            o = np.lexsort((fs, ss))
-            fs, ss = fs[o], ss[o]
-            odd[ss[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]] = True
-        # check_listing verifies the entries at every stride-th offset of an answer.
+            e = np.flatnonzero(rough[seg])
+            e = e[np.lexsort((flat[e], seg[e]))]  # stable: equal ids stay in listing order
+            fs, ss = flat[e], seg[e]
+            fault(np.sort(e[1:][(fs[1:] == fs[:-1]) & (ss[1:] == ss[:-1])]), _TWICE)
+        is_odd = np.zeros(k, dtype=bool)
+        is_odd[list(odd)] = True
+        # The rule verifies the entries at every stride-th offset of an answer.
         stride = np.maximum(np.array(size, dtype=np.int64) // _ANSWER_SOUND_CAP, 1)
         if stride.max() > 1:
             off = np.repeat(at[:, 2] - (np.cumsum(lens) - lens), lens) + np.arange(len(flat))
@@ -732,7 +704,7 @@ class PrefixAudit:
         else:
             sampled = np.ones(len(flat), dtype=bool)
         if runs:
-            # A range part adds the entries check_listing samples, read off
+            # A range part adds the entries the rule samples, read off
             # their offsets; in a long answer, also its other prefix hits:
             # the prefix ids between its ends that lie on its step.
             run_place, rr, base, first, step, count = np.array(runs, dtype=np.int64).reshape(-1, 6).T
@@ -765,8 +737,8 @@ class PrefixAudit:
         cone = np.array([name != "interval" for name in names], dtype=bool)
         hit[cone, i[cone]] = True
         miss = truth & ~hit
-        flag = odd | miss.any(axis=1)
-        # Soundness of the listed ids check_listing samples.
+        flag = is_odd | miss.any(axis=1)
+        # Soundness of the listed ids the rule samples.
         owed = np.zeros(len(flat), dtype=bool)
         owed[inside] = truth[si, ci]
         flag[seg[inside & ~owed & sampled]] = True
@@ -779,7 +751,7 @@ class PrefixAudit:
         for r in np.flatnonzero(np.diff(bounds)).tolist():
             zs = flat[out[bounds[r] : bounds[r + 1]]]
             flag[r] = not self._sound_outside(names[r], i[r], j[r], zs).all()
-        judged = flag & ~odd
+        judged = flag & ~is_odd
         if not judged.any():
             return flag, odd, truth, None
         # The sampled entries of the answers _check judges, in listing order.
@@ -798,42 +770,38 @@ class PrefixAudit:
         return (up[0] & down[:, 1]) | (up[1] & down[:, 0])
 
     def _compare(self, name: str, i: int, j: int) -> Callable[[int], bool]:
-        """How :func:`check_listing` decides a listed id outside the prefix: the scalar ``leq``."""
+        """How the listing rule (see :class:`PrefixAudit`) decides a listed id outside the prefix: the scalar ``leq``."""
         x, leq = self.ids[i], self.stream.leq
         if name == "interval":
             y = self.ids[j]
             return lambda z: (leq(x, z) and leq(z, y)) or (leq(y, z) and leq(z, x))
         return (lambda z: leq(z, x)) if name == "predecessors" else (lambda z: leq(x, z))
 
-    def _owed(self, row: np.ndarray) -> set[int]:
-        """The ids a truth row owes, as a set built in prefix order."""
-        return set(self.arr[row].tolist())
-
-    def _check(self, q: tuple, row: np.ndarray, entries: tuple | None, first_only: bool):
-        """What :func:`check_listing` reports on one flagged query, given its truth row.
+    def _check(self, q: tuple, row: np.ndarray, fault: tuple | None, entries: tuple | None, first_only: bool):
+        """What the listing rule (see :class:`PrefixAudit`) reports on one flagged query, given its truth row.
 
         An answer with an entry that is not an id, or with an id listed
-        twice, has no ``entries`` and goes through :func:`check_listing`.
-        Any other is judged from the screen's arrays (see :func:`_entries`).
-        Its sampled ids outside the prefix get the scalar comparison in
-        listing order until ``_MAX_RECORDED`` violations are found, as
-        there.  Its missing ids come in the order of check_listing's set
-        difference, which is built only when two or more are missing and
-        there is room to report them.  With ``first_only``, the report is
-        ``(first violation or None, count)``.
+        twice, reports its one ``fault``, ``(entry, detail)``, as found by
+        the screen.  Any other is judged from the screen's arrays (see
+        :func:`_entries`).  Its sampled ids outside the prefix get the
+        scalar comparison in listing order until ``_MAX_RECORDED``
+        violations are found.  Its missing ids come in the order of the
+        rule's set difference, which is built only when two or more are
+        missing and there is room to report them.  With ``first_only``, the
+        report is ``(first violation or None, count)``.
         """
         name, i, j, ans = q[:4]
         x = self.ids[i]
         exempt = set() if name == "interval" else {x}
-        if entries is None:
-            found = check_listing(name, x, ans, self._owed(row), self._compare(name, i, j), self.id_set, exempt)
-            return (found[0] if found else None, len(found)) if first_only else found
+        if fault is not None:
+            v = Violation("UNSOUND", name, (x, fault[0]), fault[1])
+            return (v, 1) if first_only else [v]
         bad_at, unsound, out_at, out_ys, gaps, gap = entries
         if out_ys:
             compare, failed = self._compare(name, i, j), []
             for at, z in zip(out_at, out_ys):
                 if bisect_left(bad_at, at) + len(failed) >= _MAX_RECORDED:
-                    break  # check_listing has returned by here
+                    break  # the answer's report is full by here
                 if not compare(z):
                     failed.append((at, z))
             if failed:
@@ -842,8 +810,8 @@ class PrefixAudit:
         count = len(unsound) + min(gaps, room)
         if first_only and unsound:
             return Violation("UNSOUND", name, (x, unsound[0]), _FAILS), count
-        if gaps > 1 and room:  # check_listing's set, for its iteration order
-            absent = islice(self._owed(row) - set(_listing(ans)) - exempt, room)
+        if gaps > 1 and room:  # the rule's set of owed ids, built in prefix order, for its iteration order
+            absent = islice(set(self.arr[row].tolist()) - set(ans) - exempt, room)
         else:
             absent = [self.ids[gap]] if gaps and room else []
         if first_only:
@@ -857,8 +825,8 @@ def _entries(ys, seg, bad, out, miss) -> Callable[[int], tuple]:
     """What :meth:`PrefixAudit._check` reads of a chunk's judged answers.
 
     ``ys`` and ``seg`` are the sampled entries of those answers and their
-    answer, in listing order; ``bad`` marks the prefix ids check_listing
-    would call unsound and ``out`` the ids outside the prefix; ``miss`` marks
+    answer, in listing order; ``bad`` marks the prefix ids the listing rule
+    calls unsound and ``out`` the ids outside the prefix; ``miss`` marks
     the owed prefix positions each answer does not list.  For answer r, the
     function gives the listing places and ids of its first ``_MAX_RECORDED``
     bad entries, those of its outside entries, how many owed ids it misses

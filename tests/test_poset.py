@@ -1,4 +1,4 @@
-"""Finite posets, sums, linear orders, canonical points, JSON format."""
+"""Finite posets, linear orders, canonical points, JSON format."""
 
 from __future__ import annotations
 
@@ -19,17 +19,12 @@ from taulike import (
     FormatError,
     Kind,
     LinearOrder,
-    MissingPartError,
     UnknownIdError,
     build_poset,
-    disjoint_sum,
     is_linear_extension,
-    lex_sum,
-    pair_id,
     poset_from_json_dict,
     poset_to_json_dict,
     random_poset,
-    unpair_id,
 )
 from taulike.poset import MAX_DOCUMENT_ELEMENTS, MAX_DOCUMENT_PAIRS, POSET_SCHEMA, order_axiom_faults
 
@@ -225,107 +220,11 @@ def test_unknown_element_queries_raise():
         p.predecessors(9)
 
 
-# -- pairing --------------------------------------------------------------
-
-
-@given(st.integers(0, 500), st.integers(0, 500))
-def test_pair_id_round_trip(i, x):
-    assert unpair_id(pair_id(i, x)) == (i, x)
-
-
-def test_pair_id_injective_on_grid():
-    codes = {pair_id(i, x) for i in range(20) for x in range(20)}
-    assert len(codes) == 400
-
-
-# -- sums ------------------------------------------------------------------
+# -- small shapes ------------------------------------------------------------
 
 
 def chain(n):
     return build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def antichain(n):
-    return build_poset(range(n), [])
-
-
-def test_lex_sum_singletons_along_chain_is_chain():
-    out = lex_sum(chain(2), {0: chain(1), 1: chain(1)})
-    a, b = pair_id(0, 0), pair_id(1, 0)
-    assert set(out.elements) == {a, b}
-    assert out.le(a, b) and not out.le(b, a)
-
-
-def test_lex_sum_singletons_along_antichain_is_antichain():
-    out = lex_sum(antichain(2), {0: chain(1), 1: chain(1)})
-    a, b = pair_id(0, 0), pair_id(1, 0)
-    assert not out.le(a, b) and not out.le(b, a)
-
-
-def test_lex_sum_antichain_below_singleton():
-    # two incomparable elements, then a point above both
-    out = lex_sum(chain(2), {0: antichain(2), 1: chain(1)})
-    a, b, m = pair_id(0, 0), pair_id(0, 1), pair_id(1, 0)
-    want = {
-        (a, a): True, (a, b): False, (a, m): True,
-        (b, a): False, (b, b): True, (b, m): True,
-        (m, a): False, (m, b): False, (m, m): True,
-    }
-    for (x, y), v in want.items():
-        assert out.le(x, y) is v, (x, y)
-
-
-def test_lex_sum_missing_part_rejected():
-    with pytest.raises(MissingPartError):
-        lex_sum(chain(2), {0: chain(1)})
-
-
-def test_lex_sum_single_index_isomorphic_to_part():
-    part = build_poset([0, 1, 2, 3], [(0, 2), (1, 2)])
-    out = lex_sum(chain(1), {0: part})
-    for x in part.elements:
-        for y in part.elements:
-            assert out.le(pair_id(0, x), pair_id(0, y)) == part.le(x, y)
-
-
-def test_disjoint_sum_single_part_isomorphic():
-    part = build_poset([0, 1, 2], [(0, 1)])
-    out = disjoint_sum([part])
-    for x in part.elements:
-        for y in part.elements:
-            assert out.le(pair_id(0, x), pair_id(0, y)) == part.le(x, y)
-
-
-def test_disjoint_sum_two_singletons_is_antichain():
-    out = disjoint_sum([chain(1), chain(1)])
-    a, b = pair_id(0, 0), pair_id(1, 0)
-    assert out.size == 2 and not out.le(a, b) and not out.le(b, a)
-
-
-def test_disjoint_sum_chains_no_cross_pairs():
-    out = disjoint_sum([chain(2), chain(3)])
-    assert out.size == 5
-    for x in out.elements:
-        for y in out.elements:
-            i, a = unpair_id(x)
-            j, b = unpair_id(y)
-            expected = i == j and a <= b
-            assert out.le(x, y) is expected, (x, y)
-
-
-@given(
-    n=st.integers(1, 4),
-    sizes=st.lists(st.integers(1, 3), min_size=4, max_size=4),
-)
-def test_disjoint_sum_restriction_is_summand(n, sizes):
-    parts = [chain(k) for k in sizes[:n]]
-    out = disjoint_sum(parts)
-    for i, part in enumerate(parts):
-        ids = [pair_id(i, x) for x in part.elements]
-        sub = out.restrict(ids)
-        for x in part.elements:
-            for y in part.elements:
-                assert sub.le(pair_id(i, x), pair_id(i, y)) == part.le(x, y)
 
 
 # -- linear orders ----------------------------------------------------------

@@ -34,7 +34,6 @@ from taulike.streams import (
     StreamPoset,
     _bulk,
     antichain_stream,
-    check_listing,
     omega_plus_omega_star_stream,
     omega_star_stream,
     omega_stream,
@@ -502,17 +501,24 @@ def test_read_side_normalises_or_refuses():
             read_side(raw, 3)
 
 
-def test_check_listing_names_each_fault():
-    truth, prefix_ids = {0, 1, 2}, {0, 1, 2, 3}
-    assert check_listing("predecessors", 2, [0, 1, 2], truth, lambda y: False, prefix_ids) == []
-    assert check_listing("predecessors", 2, [0, 1], truth, lambda y: False, prefix_ids, exempt={2}) == []
-    (dup,) = check_listing("predecessors", 2, [0, 1, 1, 2], truth, lambda y: False, prefix_ids)
-    assert (dup.kind, dup.subject) == ("UNSOUND", (2, 1)) and "twice" in dup.detail
-    (miss,) = check_listing("predecessors", 2, [0, 2], truth, lambda y: False, prefix_ids)
-    assert (miss.kind, miss.subject) == ("INCOMPLETE", (2, 1))
-    # listed ids outside the prefix are decided by the comparison
-    (bad,) = check_listing("predecessors", 2, [0, 1, 2, 3, 9], truth, lambda y: y == 9, prefix_ids)
-    assert (bad.kind, bad.subject) == ("UNSOUND", (2, 3))
+def test_the_audit_names_each_listing_fault():
+    # The prefix is the chain 0 < 1 < 2 < 3; the id 9 lies outside it, below every other id.
+    stream = StreamPoset(lambda st: st, lambda x, y: x == 9 or (y != 9 and x <= y))
+    answers = [
+        [0, 1, 2],  # honest
+        [0, 1],  # leaves out the subject itself
+        [0, 1, 1, 2],
+        [0, 2],
+        [0, 1, 2, 3, 9],  # 9 passes the comparison, 3 does not
+    ]
+    screened = PrefixAudit(stream, take(stream, 4)).screen([("predecessors", 2, 2, ans) for ans in answers])
+    assert [[(v.kind, v.subject, v.detail) for v in found] for _, found in screened] == [
+        [],
+        [],
+        [("UNSOUND", (2, 1), "answer lists an element twice")],
+        [("INCOMPLETE", (2, 1), "in-prefix element is missing")],
+        [("UNSOUND", (2, 3), "listed element fails the comparison")],
+    ]
 
 
 # -- bulk screening against the per-answer rule ---------------------------------
@@ -682,14 +688,11 @@ def test_answers_past_the_cap_report_what_the_per_answer_rule_reports(hook):
         ((_, found),) = PrefixAudit(stream, ids).screen([(name, i, j, ans)])
         ((_, first),) = PrefixAudit(stream, ids).screen([(name, i, j, ans)], first_only=True)
         decided = []
-        assert found == check_listing(
+        assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
             name, ids[i], ans, truth, lambda z: decided.append(z) or compare(z), set(ids), exempt
         )
         if hook == "none" and name == "predecessors":  # leq(z, x) once per id decided, on both passes
             assert asked == 2 * decided
-        assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
-            name, ids[i], ans, truth, compare, set(ids), exempt
-        )
         assert len(found) == 50 and first == (found[0], 50)
         screened.append(found)
     missing, unsound = ([v.subject[1] for v in found] for found in screened)
@@ -906,13 +909,13 @@ def _run_answers(draw, x: int):
         cut = 211 * draw(st.integers(0, x // 211))  # a prefix id, left out
     else:
         cut = draw(st.integers(0, x + 1))
-        if draw(st.booleans()):  # at an entry check_listing samples
+        if draw(st.booleans()):  # at an entry the audit samples
             cut -= cut % max(1, (x + 1 + (fault == "unsound")) // 2000)
     low = list(range(cut)) if draw(st.booleans()) else range(cut - 1, -1, -1)
     start, top = cut + (fault == "missing"), x
     if fault == "overrun":  # the last entries of the high part lie above x
         top += draw(st.integers(1, 4))
-        if draw(st.booleans()):  # ... and the last one where check_listing samples
+        if draw(st.booleans()):  # ... and the last one where the audit samples
             top += -top % max(1, (x + 5) // 2000)
         return IdRuns((low, range(start, top + 1)))
     high = range(x, start - 1, -1) if draw(st.booleans()) else range(start, x + 1)
@@ -923,7 +926,7 @@ def _run_answers(draw, x: int):
 @st.composite
 def _run_cases(draw):
     # Prefix ids sit 211 apart, so honest answers list up to 8,000 ids, most
-    # of them outside the prefix, and past 4,000 check_listing samples them.
+    # of them outside the prefix, and past 4,000 the audit samples them.
     s = draw(st.integers(5, 40))
     ats = draw(st.lists(st.integers(0, s - 1), max_size=4, unique=True))
     answers = {211 * t: draw(_run_answers(211 * t)) for t in ats}
@@ -965,11 +968,12 @@ def test_id_runs_read_as_the_concatenation_of_their_parts():
     assert 8 in runs and 1 in runs and 5 not in runs
 
 
-# -- chunk screening against check_listing alone ---------------------------------
+# -- chunk screening against each answer alone ------------------------------------
 
 _STRAYS = [None, 1.5, 2.0, "3", "x", [1], [], (2,), True, False, -1, -5, np.int64(-4),
-           np.float64(3.0), 2**63, 2**63 + 7, 2**64]
-_EDITS = ["honest", "undefined", "dup", "drop", "outside", "stray", "nest", "bool", "numpy", "ends", "beyond"]
+           np.float64(3.0), 2**63, 2**63 + 7, 2**64, np.uint64(3), np.uint64(2**63)]
+_EDITS = ["honest", "undefined", "dup", "drop", "outside", "stray", "nest", "bool", "numpy", "unsigned", "ends",
+          "beyond", "runs"]
 
 
 def _screened_stream(which: str) -> StreamPoset:
@@ -1010,12 +1014,27 @@ def _edit(ans, edit: str, k: int, outside: int, stray):
         return [bool(y) if type(y) is int and y in (0, 1) else y for y in ans]
     if edit == "numpy":
         return [np.int64(y) if type(y) is int and 0 <= y < 2**63 else y for y in ans]
+    if edit == "unsigned":
+        return [np.uint64(y) if type(y) is int and 0 <= y < 2**63 else y for y in ans]
     if edit == "ends":  # [x, y] for an interval: past 50 missing ids on a long prefix
         return ans[:1] + ans[-1:]
     if edit == "beyond":  # 60 ids past the top: past 50 unsound ones, in and outside the prefix
         top = max((y for y in ans if type(y) is int and 0 <= y < 2**62), default=0)
         return ans + list(range(top + 1, top + 61))
+    if edit == "runs":  # a list part, then a range part that lists as much of the rest from ``at`` on as it can
+        cut = next(c for c in range(at, len(ans) + 1) if _as_range(ans[c:]) is not None)
+        return IdRuns((ans[:cut], _as_range(ans[cut:])))
     return ans
+
+
+def _as_range(run: list) -> range | None:
+    """The range that lists ``run``, or None when no range does."""
+    if not all(type(y) is int for y in run):
+        return None
+    step = run[1] - run[0] if len(run) > 1 else 1
+    if step == 0 or any(b - a != step for a, b in zip(run, run[1:])):
+        return None
+    return range(run[0], run[-1] + step, step) if run else range(0)
 
 
 @st.composite
@@ -1053,11 +1072,11 @@ def test_chunk_screening_equals_checking_each_answer_alone(case):
             assert found is None
             continue
         truth, compare, exempt = brute.listing_rule(ids, stream.leq, name, i, j)
-        alone = check_listing(name, ids[i], list(ans), truth, compare, set(ids), exempt)
-        assert found == alone
         assert [(v.kind, v.oracle, v.subject, v.detail) for v in found] == brute.listing_faults(
             name, ids[i], ans, truth, compare, set(ids), exempt
         )
+        # An integer a violation names is a Python int, also where the screen read it off an array.
+        assert all(type(y) is int for v in found for y in v.subject if isinstance(y, (int, np.integer)))
 
 
 # -- batched draws -----------------------------------------------------------------
