@@ -82,18 +82,6 @@ from .gadgets import (
     make_stage_order,
     read_false_stages,
 )
-from .harness import (
-    ExtensionSet,
-    TauReport,
-    all_linear_extensions,
-    antichain_poset,
-    chain_poset,
-    check_kinds,
-    check_tau_like,
-    extension_tree_contains,
-    fence_poset,
-    iter_linear_extensions,
-    random_poset,
-)
+from .harness import TauReport, check_kinds, check_tau_like, random_poset
 
 __version__ = "0.1.0"

@@ -85,4 +85,4 @@ class PrefixTooShort(TaulikeError):
 
 
 class TooLarge(TaulikeError):
-    """An exhaustive computation was refused by its size guard."""
+    """A computation or a document was refused by its size guard."""

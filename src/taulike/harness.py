@@ -1,14 +1,17 @@
-"""Brute-force ground truth: exhaustive extension enumeration and generators.
+"""Kind checks and seeded random posets.
 
-Everything here is deliberately independent of the streaming algorithms so it
-can sit on the other side of a dual-route check.
+:func:`check_tau_like` and :func:`check_kinds` report what a finite
+inspection can certify about a kind's finiteness promise, as
+:class:`TauReport`s: read off the matrix of a finite poset, or off one
+:class:`~taulike.streams.PrefixAudit` of a stream's prefix.
+:func:`random_poset` builds the seeded posets of ``--family random``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,100 +21,13 @@ from .poset import FinitePoset, build_poset
 from .streams import OracleBundle, PrefixAudit, StreamPoset, answer_size, distinct_ids, read_side, take
 
 __all__ = [
-    "ExtensionSet",
-    "all_linear_extensions",
-    "iter_linear_extensions",
     "check_tau_like",
     "check_kinds",
     "TauReport",
     "random_poset",
-    "chain_poset",
-    "antichain_poset",
-    "fence_poset",
 ]
 
-MAX_EXHAUSTIVE = 10  # default size guard for full enumeration
 MAX_RANDOM = 64  # default size guard for random generation
-
-
-def _strict_graph(poset: FinitePoset) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Per element, the count of its strict predecessors and the list of its strict successors."""
-    strict = poset.matrix & ~np.eye(poset.size, dtype=bool)
-    els = poset.elements
-    indeg = dict(zip(els, strict.sum(axis=0).tolist()))
-    succs = {x: [els[j] for j in np.flatnonzero(row).tolist()] for x, row in zip(els, strict)}
-    return indeg, succs
-
-
-def iter_linear_extensions(poset: FinitePoset) -> Iterator[tuple[int, ...]]:
-    """Yield every linear extension, backtracking over minimal remaining
-    elements in ascending id order (a canonical, deterministic sequence)."""
-    order = sorted(poset.elements)
-    # indeg[x] counts strict predecessors not yet placed
-    indeg, strict_succs = _strict_graph(poset)
-    placed: list[int] = []
-    n = len(order)
-
-    def walk() -> Iterator[tuple[int, ...]]:
-        if len(placed) == n:
-            yield tuple(placed)
-            return
-        for x in order:
-            if indeg[x] == 0:
-                indeg[x] = -1  # mark placed
-                placed.append(x)
-                for y in strict_succs[x]:
-                    indeg[y] -= 1
-                yield from walk()
-                for y in strict_succs[x]:
-                    indeg[y] += 1
-                placed.pop()
-                indeg[x] = 0
-
-    return walk()
-
-
-@dataclass(frozen=True)
-class ExtensionSet:
-    """All linear extensions of a poset, in canonical enumeration order."""
-
-    poset: FinitePoset
-    orders: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __contains__(self, order) -> bool:
-        return tuple(order) in set(self.orders)
-
-
-def all_linear_extensions(poset: FinitePoset, max_size: int = MAX_EXHAUSTIVE) -> ExtensionSet:
-    """Materialize every linear extension; refuses posets above ``max_size``."""
-    if poset.size > max_size:
-        raise TooLarge(f"{poset.size} elements exceeds the exhaustive guard {max_size}")
-    return ExtensionSet(poset, tuple(iter_linear_extensions(poset)))
-
-
-def extension_tree_contains(poset: FinitePoset, order) -> bool:
-    """Would the backtracking enumeration emit ``order`` as a leaf?
-
-    Walks the single branch that spells out ``order``: the branch exists
-    exactly when each element is minimal among the ones not yet placed, so
-    this decides membership in the enumeration without materializing it.
-    """
-    seq = tuple(order)
-    if set(seq) != set(poset.elements) or len(seq) != poset.size:
-        return False
-    indeg, strict_succs = _strict_graph(poset)
-    for x in seq:
-        if indeg[x] != 0:
-            return False
-        for y in strict_succs[x]:
-            indeg[y] -= 1
-    return True
 
 
 @dataclass
@@ -281,19 +197,3 @@ def random_poset(n: int, density: float, seed: int, max_size: int = MAX_RANDOM) 
                 gens.append((perm[i], perm[j]))
     return build_poset(range(n), gens)
 
-
-def chain_poset(n: int) -> FinitePoset:
-    """0 < 1 < ... < n-1."""
-    return build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def antichain_poset(n: int) -> FinitePoset:
-    return build_poset(range(n), [])
-
-
-def fence_poset(n: int) -> FinitePoset:
-    """Alternating zigzag 0 < 1 > 2 < 3 > ...; a sparse two-ended test shape."""
-    gens = []
-    for i in range(n - 1):
-        gens.append((i, i + 1) if i % 2 == 0 else (i + 1, i))
-    return build_poset(range(n), gens)

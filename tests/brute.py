@@ -2,7 +2,9 @@
 
 Everything here recomputes facts from first principles (definitions, not the
 library's algorithms) so tests can compare two routes to the same answer.
-Expected values frozen into tests were produced by these functions.
+Expected values frozen into tests were produced by these functions.  The
+fixture posets at the end are shapes, built with the library's
+``build_poset``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import dataclasses
 from itertools import permutations
 
 import numpy as np
+
+from taulike import build_poset
 
 
 def closure_pairs(elements, pairs) -> set[tuple[int, int]]:
@@ -92,6 +96,40 @@ def is_linear_extension_naive(seq, elements, leq) -> bool:
     return all(
         pos[a] <= pos[b] for a in elements for b in elements if leq(a, b)
     )
+
+
+def linear_extensions(elements, leq) -> list[tuple[int, ...]]:
+    """All linear extensions, depth first: each step places one of the
+    minimal remaining elements, trying them in ascending id order, so the
+    list comes out in one canonical order."""
+    order = sorted(elements)
+    succs = {x: [y for y in order if y != x and leq(x, y)] for x in order}
+    # below[x] counts the strict predecessors of x not yet placed; -1 once x is
+    below = dict.fromkeys(order, 0)
+    for x in order:
+        for y in succs[x]:
+            below[y] += 1
+    placed: list[int] = []
+    found: list[tuple[int, ...]] = []
+
+    def walk() -> None:
+        if len(placed) == len(order):
+            found.append(tuple(placed))
+            return
+        for x in order:
+            if below[x] == 0:
+                below[x] = -1
+                placed.append(x)
+                for y in succs[x]:
+                    below[y] -= 1
+                walk()
+                for y in succs[x]:
+                    below[y] += 1
+                placed.pop()
+                below[x] = 0
+
+    walk()
+    return found
 
 
 def extensions_by_permutation(elements, leq) -> set[tuple[int, ...]]:
@@ -348,3 +386,17 @@ def listed_oracles(stream):
         o, predecessors=listing(o.predecessors), successors=listing(o.successors), interval=listing(o.interval)
     )
     return stream
+
+
+def chain_poset(n: int):
+    """0 < 1 < ... < n-1."""
+    return build_poset(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def antichain_poset(n: int):
+    return build_poset(range(n), [])
+
+
+def fence_poset(n: int):
+    """Alternating zigzag 0 < 1 > 2 < 3 > ...; a sparse two-ended test shape."""
+    return build_poset(range(n), [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])

@@ -554,6 +554,14 @@ def test_an_audit_over_the_work_limit_is_refused_before_take(monkeypatch, comman
         main([command, "--family", "omega", "--elements", str(limit)])
 
 
+def test_the_random_family_is_refused_above_64_elements():
+    for command in ("linearize", "embed", "verify", "oracle"):
+        argv = [command, *(["--kind", "omega"] if command in ("linearize", "embed") else []), "--family", "random"]
+        err = run_cli_error(*argv, "--elements", "65")
+        assert err == {"code": "TooLarge", "detail": "65 elements exceeds the random-generation guard 64"}
+        run_cli(*argv, "--elements", "64")
+
+
 def test_a_split_over_the_cross_check_limit_is_refused_before_the_rectangle(monkeypatch):
     monkeypatch.setattr(taulike.streams.StreamPoset, "relation_matrix", _refuse_pull)
     side = math.isqrt(MAX_CROSS_CELLS)  # the omega-omega-star split halves its budget

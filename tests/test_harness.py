@@ -1,4 +1,4 @@
-"""Brute-force extension enumeration, kind reports, random generators."""
+"""The brute-force extension enumerator, kind reports, random generators."""
 
 from __future__ import annotations
 
@@ -12,17 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
+from brute import antichain_poset, chain_poset, fence_poset
 from taulike import (
     Kind,
     TaulikeError,
     TooLarge,
-    all_linear_extensions,
-    antichain_poset,
-    chain_poset,
     check_kinds,
     check_tau_like,
-    extension_tree_contains,
-    fence_poset,
     is_linear_extension,
     make_embed_gadget,
     make_fuf_gadget,
@@ -42,29 +38,33 @@ from taulike.streams import (
 )
 
 
-# -- exhaustive extension enumeration ----------------------------------------
+# -- brute-force extension enumeration ----------------------------------------
+
+
+def _extensions(p):
+    return brute.linear_extensions(p.elements, p.le)
 
 
 def test_two_antichain_has_two_extensions():
-    assert len(all_linear_extensions(antichain_poset(2))) == 2
+    assert len(_extensions(antichain_poset(2))) == 2
 
 
 def test_three_chain_has_one_extension():
-    assert len(all_linear_extensions(chain_poset(3))) == 1
+    assert len(_extensions(chain_poset(3))) == 1
 
 
 def test_three_antichain_has_six_extensions():
-    assert len(all_linear_extensions(antichain_poset(3))) == 6
+    assert len(_extensions(antichain_poset(3))) == 6
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_antichain_extension_count_is_factorial(n):
-    assert len(all_linear_extensions(antichain_poset(n))) == math.factorial(n)
+    assert len(_extensions(antichain_poset(n))) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chain_extension_count_is_one(n):
-    assert len(all_linear_extensions(chain_poset(n))) == 1
+    assert len(_extensions(chain_poset(n))) == 1
 
 
 def test_fuf_example_count_frozen():
@@ -73,13 +73,13 @@ def test_fuf_example_count_frozen():
     from taulike import make_fuf_gadget
 
     g = make_fuf_gadget([1, 2])
-    assert len(all_linear_extensions(g.base)) == 20
+    assert len(_extensions(g.base)) == 20
 
 
 def test_extension_set_members_are_extensions_and_distinct():
     p = fence_poset(5)
-    exts = all_linear_extensions(p)
-    assert len(set(exts.orders)) == len(exts)
+    exts = _extensions(p)
+    assert len(set(exts)) == len(exts)
     for order in exts:
         assert is_linear_extension(order, p).ok
 
@@ -87,40 +87,8 @@ def test_extension_set_members_are_extensions_and_distinct():
 @pytest.mark.parametrize("seed", range(8))
 def test_extensions_match_permutation_filter(seed):
     p = random_poset(6, 0.4, seed=seed)
-    ours = set(all_linear_extensions(p).orders)
+    ours = set(_extensions(p))
     assert ours == brute.extensions_by_permutation(p.elements, p.le)
-
-
-def test_exhaustive_guard_fires():
-    with pytest.raises(TooLarge):
-        all_linear_extensions(antichain_poset(11))
-    # explicit override admits larger inputs
-    assert len(all_linear_extensions(chain_poset(11), max_size=12)) == 1
-
-
-# -- membership without materializing -----------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_tree_membership_agrees_with_materialized_set(seed):
-    p = random_poset(5, 0.5, seed=seed)
-    materialized = set(all_linear_extensions(p).orders)
-    from itertools import permutations
-
-    for cand in permutations(p.elements):
-        assert extension_tree_contains(p, cand) == (cand in materialized)
-
-
-def test_tree_membership_rejects_wrong_element_set():
-    p = chain_poset(3)
-    assert not extension_tree_contains(p, [0, 1])
-    assert not extension_tree_contains(p, [0, 1, 2, 3])
-
-
-def test_tree_membership_on_large_chain():
-    p = chain_poset(40)
-    assert extension_tree_contains(p, list(range(40)))
-    assert not extension_tree_contains(p, list(range(39, -1, -1)))
 
 
 # -- kind reports --------------------------------------------------------------
@@ -390,7 +358,7 @@ def test_random_poset_density_edges():
     assert random_poset(6, 0.0, seed=1).leq == antichain_poset(6).leq
     chain_like = random_poset(6, 1.0, seed=1)
     # density one totally orders the permutation: one maximal chain
-    assert len(all_linear_extensions(chain_like)) == 1
+    assert len(_extensions(chain_like)) == 1
 
 
 def test_random_poset_guards():
@@ -417,5 +385,5 @@ def test_fence_shape():
 def test_szpilrajn_lands_in_extension_set(seed):
     p = random_poset(7, 0.35, seed=seed)
     order = szpilrajn_extend(p)
-    assert extension_tree_contains(p, tuple(order))
+    assert brute.is_linear_extension_naive(order, p.elements, p.le)
     assert is_linear_extension(order, p).ok
